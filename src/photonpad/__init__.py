@@ -75,6 +75,7 @@ from .su2 import (
     haar_moment,
     lift_symmetric,
     multiplicity,
+    sector_lifts,
 )
 
 __version__ = "0.1.0"
@@ -99,6 +100,7 @@ __all__ = [
     "SourceSpec",
     "build_source_state",
     "symmetric_embedding",
+    "sector_lifts",
     "lift_symmetric",
     "block_lift",
     "multiplicity",

@@ -30,9 +30,8 @@ import numpy as np
 
 from .designs import WeightedEnsemble
 from .errors import SectorRangeError
-from .fock import SectorStructure
-from .linalg import dagger
-from .su2 import block_lift, check_density, lift_symmetric
+from .fock import SectorStructure, _is_int
+from .su2 import _block_lifts, check_density, lift_symmetric
 
 __all__ = [
     "lifted_ensemble",
@@ -48,7 +47,14 @@ __all__ = [
 
 def lifted_ensemble(ensemble: WeightedEnsemble, structure: SectorStructure) -> np.ndarray:
     """All ensemble elements lifted to K(N), shape (size, D, D)."""
-    return np.stack([block_lift(u, structure) for u in ensemble.unitaries])
+    return _block_lifts(ensemble.unitaries, structure)
+
+
+def _encrypt(lifted: np.ndarray, weights: np.ndarray, rho: np.ndarray, tol: float) -> np.ndarray:
+    """sum_j q_j L_j rho L_j^dag for a lifted ensemble of shape (size, D, D)."""
+    rho = check_density(rho, lifted.shape[-1], tol)
+    weighted = weights[:, None, None] * lifted
+    return (weighted @ rho @ lifted.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_channel(
@@ -58,12 +64,7 @@ def apply_channel(
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Encrypt a density operator: sum_j q_j L(U_j) rho L(U_j)^dag."""
-    rho = check_density(rho, structure.total_dim, tol)
-    out = np.zeros_like(rho)
-    for w, u in ensemble.items():
-        lifted = block_lift(u, structure)
-        out += w * (lifted @ rho @ dagger(lifted))
-    return out
+    return _encrypt(lifted_ensemble(ensemble, structure), ensemble.weights, rho, tol)
 
 
 def choi_block(
@@ -78,7 +79,7 @@ def choi_block(
     bounds them by its maximum photon number.
     """
     for label, sector in (("m", m), ("n", n)):
-        if not (isinstance(sector, (int, np.integer)) and sector >= 0):
+        if not (_is_int(sector) and sector >= 0):
             raise SectorRangeError(f"sector {label}={sector!r} must be a non-negative int")
     if structure is not None:
         m = structure.check_sector(m)
@@ -146,12 +147,8 @@ def as_choi_operator(matrix: np.ndarray, structure: SectorStructure) -> ChoiOper
 
 def full_choi(ensemble: WeightedEnsemble, structure: SectorStructure) -> ChoiOperator:
     """Choi operator J = sum_j q_j vec(L(U_j)) vec(L(U_j))^dag, plus its block map."""
-    d = structure.total_dim
-    out = np.zeros((d * d, d * d), dtype=np.complex128)
-    for w, u in ensemble.items():
-        v = block_lift(u, structure).reshape(-1)
-        out += w * np.outer(v, v.conj())
-    return as_choi_operator(out, structure)
+    vecs = lifted_ensemble(ensemble, structure).reshape(ensemble.size, -1)
+    return as_choi_operator((ensemble.weights * vecs.T) @ vecs.conj(), structure)
 
 
 def parity_dephase(rho: np.ndarray, structure: SectorStructure, tol: float = 1e-10) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -78,11 +79,17 @@ def _matrix_from_pairs(entries: list) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in entries])
 
 
-def _check_bounds(max_photons: int, tol: float, minimum: int = 0) -> None:
+def _check_bounds(max_photons: int, minimum: int = 0) -> None:
     if not minimum <= max_photons <= MAX_PHOTON_BOUND:
         raise ParseError(f"max photons must be in [{minimum}, {MAX_PHOTON_BOUND}], got {max_photons}")
-    if not tol > 0:
-        raise ParseError(f"tolerance must be positive, got {tol}")
+
+
+def _check_tol(tol: float | None, default: float) -> float:
+    """The --tol value, or ``default`` when it is absent; it must be finite and positive."""
+    tol = default if tol is None else tol
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParseError(f"tolerance must be finite and positive, got {tol}")
+    return tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,11 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_design_check(args) -> tuple[dict, int]:
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = _check_tol(args.tol, 1e-9)
     if args.k < 1:
         raise ParseError(f"--k must be >= 1, got {args.k}")
-    if not tol > 0:
-        raise ParseError(f"tolerance must be positive, got {tol}")
     ensemble = load_ensemble(args.ensemble)
     checks = [is_k_design(ensemble, k, tol) for k in range(1, args.k + 1)]
     payload = {
@@ -171,8 +176,8 @@ def _render_design_check(payload: dict) -> str:
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
-    tol = args.tol if args.tol is not None else 1e-9
-    _check_bounds(args.max_photons, tol, minimum=1)
+    tol = _check_tol(args.tol, 1e-9)
+    _check_bounds(args.max_photons, minimum=1)
     ensemble = load_ensemble(args.ensemble)
     report = security_report(ensemble, args.max_photons, tol)
     return report.to_json_dict(), _CLASSIFICATION_EXIT[report.classification]
@@ -194,9 +199,7 @@ def _render_analyze(payload: dict) -> str:
 
 
 def _cmd_reproduce_a(args) -> tuple[dict, int]:
-    tol = args.tol if args.tol is not None else 1e-10
-    if not tol > 0:
-        raise ParseError(f"tolerance must be positive, got {tol}")
+    tol = _check_tol(args.tol, 1e-10)
     result = reproduce_appendix_a(tol)
     return {"which": "appendix-a", **result.to_json_dict()}, 0 if result.passed else 2
 
@@ -217,9 +220,7 @@ def _render_reproduce_a(payload: dict) -> str:
 
 
 def _cmd_reproduce_b(args) -> tuple[dict, int]:
-    tol = args.tol if args.tol is not None else 1e-10
-    if not tol > 0:
-        raise ParseError(f"tolerance must be positive, got {tol}")
+    tol = _check_tol(args.tol, 1e-10)
     result = reproduce_appendix_b(args.c, args.alpha, args.beta, tol)
     payload = {
         "which": "appendix-b",
@@ -246,8 +247,8 @@ def _render_reproduce_b(payload: dict) -> str:
 
 
 def _cmd_leakage(args) -> tuple[dict, int]:
-    tol = args.tol if args.tol is not None else 1e-9
-    _check_bounds(args.max_photons, tol, minimum=1)
+    tol = _check_tol(args.tol, 1e-9)
+    _check_bounds(args.max_photons, minimum=1)
     ensemble = load_ensemble(args.ensemble)
     sources = []
     for path in (args.source_a, args.source_b):
@@ -284,8 +285,8 @@ def _render_leakage(payload: dict) -> str:
 
 
 def _cmd_haar(args) -> tuple[dict, int]:
-    tol = args.tol if args.tol is not None else 1e-9
-    _check_bounds(args.max_photons, tol)
+    _check_tol(args.tol, 1e-9)
+    _check_bounds(args.max_photons)
     structure = SectorStructure(args.max_photons)
     choi = as_choi_operator(haar_choi(structure), structure)
     return choi.to_json_dict(), 0
@@ -300,9 +301,7 @@ def _render_haar(payload: dict) -> str:
 
 
 def _cmd_lift(args) -> tuple[dict, int]:
-    tol = args.tol if args.tol is not None else 1e-10
-    if not tol > 0:
-        raise ParseError(f"tolerance must be positive, got {tol}")
+    tol = _check_tol(args.tol, 1e-10)
     if not 0 <= args.n <= MAX_PHOTON_BOUND:
         raise ParseError(f"--n must be in [0, {MAX_PHOTON_BOUND}], got {args.n}")
     parts = args.unitary.split(",")

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitaryError, ParseError, QuadratureOrderError, WeightSumError
+from .fock import _is_int
 from .linalg import frobenius, is_unitary
 from .su2 import HaarQuadrature, default_quadrature, haar_moment, tensor_power
 
@@ -89,6 +90,8 @@ class WeightedEnsemble:
                 raise NotUnitaryError(f"element {i} is not unitary within tolerance")
         if ws.shape != (us.shape[0],):
             raise WeightSumError(f"need {us.shape[0]} weights, got shape {ws.shape}")
+        if not np.all(np.isfinite(ws)):
+            raise WeightSumError("weights must be finite")
         if np.any(ws <= 0):
             raise WeightSumError("weights must be positive")
         total = float(ws.sum())
@@ -142,7 +145,7 @@ def builtin_ensembles() -> dict:
 
 def frame_potential(ensemble: WeightedEnsemble, k: int) -> float:
     """F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k)."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise ValueError(f"k must be a positive int, got {k!r}")
     us, ws = ensemble.unitaries, ensemble.weights
     # overlaps[i, j] = tr(U_i^dag U_j)
@@ -159,7 +162,7 @@ def haar_frame_potential(k: int, quadrature: HaarQuadrature | None = None) -> fl
     arguments, so a quadrature of order >= 2k is required. For a qubit the
     value is the k-th Catalan number (1, 2, 5, 14, ...).
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise ValueError(f"k must be a positive int, got {k!r}")
     quad = quadrature if quadrature is not None else default_quadrature(2 * k)
     if quad.order < 2 * k:
@@ -170,7 +173,7 @@ def haar_frame_potential(k: int, quadrature: HaarQuadrature | None = None) -> fl
 
 def ensemble_moment(ensemble: WeightedEnsemble, k: int) -> np.ndarray:
     """Ensemble moment operator M_k(e) = sum_j q_j U_j^(x k) (x) conj(U_j)^(x k)."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise ValueError(f"k must be a positive int, got {k!r}")
     dim = 4**k
     out = np.zeros((dim, dim), dtype=np.complex128)
@@ -255,7 +258,7 @@ def key_length(ensemble: WeightedEnsemble, uses: int = 1) -> float:
     One draw costs the Shannon entropy H(q) = -sum_j q_j log2 q_j of the
     weight distribution.
     """
-    if not (isinstance(uses, (int, np.integer)) and uses >= 0):
+    if not (_is_int(uses) and uses >= 0):
         raise ValueError(f"uses must be a non-negative int, got {uses!r}")
     ws = ensemble.weights
     entropy = float(-(ws * np.log2(ws)).sum())

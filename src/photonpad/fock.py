@@ -44,6 +44,11 @@ __all__ = [
 NORM_TOL = 1e-12
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_complex(value, what: str) -> complex:
     z = complex(value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -58,7 +63,7 @@ class SectorStructure:
     max_photons: int
 
     def __post_init__(self):
-        if not (isinstance(self.max_photons, (int, np.integer)) and self.max_photons >= 0):
+        if not (_is_int(self.max_photons) and self.max_photons >= 0):
             raise SectorRangeError(f"max_photons must be a non-negative int, got {self.max_photons!r}")
 
     @property
@@ -79,7 +84,7 @@ class SectorStructure:
         return (n + 1) * (n + 2) // 2
 
     def check_sector(self, n: int) -> int:
-        if not (isinstance(n, (int, np.integer)) and 0 <= n <= self.max_photons):
+        if not (_is_int(n) and 0 <= n <= self.max_photons):
             raise SectorRangeError(f"sector {n!r} outside 0..{self.max_photons}")
         return int(n)
 
@@ -226,7 +231,7 @@ def symmetric_embedding(n: int) -> np.ndarray:
     Shape (2**n, n+1); V_n^dag V_n = I and V_n V_n^dag is the symmetrizer.
     ``n = 0`` returns the 1x1 identity.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
+    if not (_is_int(n) and n >= 0):
         raise SectorRangeError(f"photon number must be a non-negative int, got {n!r}")
     n = int(n)
     v = np.zeros((2**n, n + 1), dtype=np.complex128)

@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import apply_channel, as_choi_operator, choi_block
+from .channels import _encrypt, apply_channel, as_choi_operator, choi_block, lifted_ensemble
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
 from .fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
@@ -67,7 +67,7 @@ class Classification(str, Enum):
 
 
 def _classify(deviations: np.ndarray, tol: float) -> Classification:
-    fails = deviations > tol
+    fails = ~(deviations <= tol)
     if not fails.any():
         return Classification.SECURE
     m_idx, n_idx = np.nonzero(fails)
@@ -184,13 +184,14 @@ def leakage(
     (e.g. ``parity_dephase`` with signature (rho, structure)).
     """
     structure = SectorStructure(max_photons)
+    lifted = lifted_ensemble(ensemble, structure)
     outputs = []
     for source in (source_a, source_b):
         vec = build_source_state(source, structure)
         rho = np.outer(vec, vec.conj())
         if pre_channel is not None:
             rho = pre_channel(rho, structure)
-        outputs.append(apply_channel(ensemble, structure, rho, tol))
+        outputs.append(_encrypt(lifted, ensemble.weights, rho, tol))
     return 0.5 * trace_norm(outputs[0] - outputs[1])
 
 

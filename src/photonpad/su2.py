@@ -5,8 +5,18 @@ restriction of U^(x n) to the symmetric subspace,
 
     L_n(U) = V_n^dag U^(x n) V_n,
 
-the (n+1)-dimensional spin-n/2 representation. ``block_lift`` assembles the
-direct sum over all sectors of K(N).
+the (n+1)-dimensional spin-n/2 representation. ``sector_lifts`` never forms
+the 2^n x 2^n power. Splitting the last photon off sector n gives
+V_n = (V_{n-1} (x) I_2) W_n with a fixed real isometry W_n, so
+
+    L_n(U) = W_n^T (L_{n-1}(U) (x) U) W_n,   L_0(U) = 1.
+
+In the descending-k layout W_n has two nonzeros per column: |k, n-k> is
+sqrt(k/n) |k-1, n-k>|0> + sqrt((n-k)/n) |k, n-k-1>|1>. One step costs
+O(n^2) per unitary, so a sweep to sector N costs O(N^3) and lifts a whole
+stack of unitaries at once. Every step compresses a unitary through an
+isometry, so rounding error grows about linearly in n. ``lift_symmetric``
+and ``block_lift`` take their sectors from this sweep.
 
 Haar averages over U(2) are computed two independent ways:
 
@@ -45,12 +55,14 @@ from .errors import (
     NotDensityOperatorError,
     NotUnitaryError,
     QuadratureOrderError,
+    SectorRangeError,
     SpinRangeError,
 )
-from .fock import SectorStructure, symmetric_embedding
-from .linalg import dagger, is_hermitian, is_unitary
+from .fock import SectorStructure, _is_int
+from .linalg import is_hermitian
 
 __all__ = [
+    "sector_lifts",
     "lift_symmetric",
     "block_lift",
     "multiplicity",
@@ -63,13 +75,16 @@ __all__ = [
 ]
 
 
-def _check_qubit_unitary(u: np.ndarray, tol: float) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise NotUnitaryError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if not is_unitary(u, tol):
-        raise NotUnitaryError("matrix is not unitary within tolerance")
-    return u
+def _check_qubit_unitaries(us: np.ndarray, tol: float) -> np.ndarray:
+    """Validate a stack of qubit unitaries: ||u^dag u - I||_F <= tol for each."""
+    us = np.asarray(us, dtype=np.complex128)
+    if us.ndim != 3 or us.shape[1:] != (2, 2):
+        raise NotUnitaryError(f"expected a stack of 2x2 matrices, got shape {us.shape}")
+    residual = np.linalg.norm(us.conj().transpose(0, 2, 1) @ us - np.eye(2), axis=(1, 2))
+    bad = np.flatnonzero(~(residual <= tol))
+    if bad.size:
+        raise NotUnitaryError(f"element {bad[0]} is not unitary within tolerance")
+    return us
 
 
 def tensor_power(u: np.ndarray, k: int) -> np.ndarray:
@@ -80,28 +95,58 @@ def tensor_power(u: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def sector_lifts(unitaries: np.ndarray, top: int, tol: float = 1e-10) -> list[np.ndarray]:
+    """Lifts of a stack of qubit unitaries to every sector 0..top in one sweep.
+
+    ``unitaries`` has shape (m, 2, 2). Returns ``[L_0, ..., L_top]`` with
+    ``L_n`` of shape (m, n+1, n+1) in the descending-k Fock basis of sector
+    n, built by the recursion L_n(U) = W_n^T (L_{n-1}(U) (x) U) W_n.
+    """
+    us = _check_qubit_unitaries(unitaries, tol)
+    if not (_is_int(top) and top >= 0):
+        raise SectorRangeError(f"top sector must be a non-negative int, got {top!r}")
+    m, top = us.shape[0], int(top)
+    roots = np.sqrt(np.arange(top + 1))
+    lifts = [np.ones((m, 1, 1), dtype=np.complex128)]
+    for n in range(1, top + 1):
+        # Row c of L_{n-1} feeds row c + b of L_n, where b is the last photon's
+        # polarization, with weight w[0, c] = sqrt((n-c)/n) for b = 0
+        # (horizontal) and w[1, c] = sqrt((c+1)/n) for b = 1: the two nonzeros
+        # of W_n. Columns alike, so t[:, b, c, e, d] = U[b, e] w[b, c] w[e, d] L_{n-1}[c, d].
+        w = np.stack((roots[n:0:-1], roots[1 : n + 1])) / roots[n]
+        t = us[:, :, None, :, None] * np.multiply.outer(w, w) * lifts[-1][:, None, :, None, :]
+        out = np.zeros((m, n + 1, n + 1), dtype=np.complex128)
+        out[:, :n, :n] = t[:, 0, :, 0]
+        out[:, :n, 1:] += t[:, 0, :, 1]
+        out[:, 1:, :n] += t[:, 1, :, 0]
+        out[:, 1:, 1:] += t[:, 1, :, 1]
+        lifts.append(out)
+    return lifts
+
+
 def lift_symmetric(u: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarray:
     """Spin-n/2 lift of a qubit unitary: V_n^dag u^(x n) V_n.
 
     Shape (n+1, n+1) in the descending-k Fock basis of sector n; ``n = 0``
     returns the 1x1 identity. Satisfies L_n(uw) = L_n(u) L_n(w) and
-    L_n(u)^dag = L_n(u^dag).
+    L_n(u)^dag = L_n(u^dag). Computed by ``sector_lifts``.
     """
-    u = _check_qubit_unitary(u, tol)
-    if n == 0:
-        return np.eye(1, dtype=np.complex128)
-    v = symmetric_embedding(n)
-    return dagger(v) @ tensor_power(u, n) @ v
+    return sector_lifts(np.asarray(u, dtype=np.complex128)[None], n, tol)[n][0]
+
+
+def _block_lifts(unitaries: np.ndarray, structure: SectorStructure, tol: float = 1e-10) -> np.ndarray:
+    """Direct sums L(U_j) on K(N) for a stack of unitaries, shape (m, D, D)."""
+    lifts = sector_lifts(unitaries, structure.max_photons, tol)
+    out = np.zeros((lifts[0].shape[0], structure.total_dim, structure.total_dim), dtype=np.complex128)
+    for n, lifted in enumerate(lifts):
+        s = structure.sector_slice(n)
+        out[:, s, s] = lifted
+    return out
 
 
 def block_lift(u: np.ndarray, structure: SectorStructure, tol: float = 1e-10) -> np.ndarray:
     """Direct sum of sector lifts: L(U) = L_0(U) (+) ... (+) L_N(U) on K(N)."""
-    u = _check_qubit_unitary(u, tol)
-    out = np.zeros((structure.total_dim, structure.total_dim), dtype=np.complex128)
-    for n in range(structure.max_photons + 1):
-        s = structure.sector_slice(n)
-        out[s, s] = lift_symmetric(u, n, tol)
-    return out
+    return _block_lifts(np.asarray(u, dtype=np.complex128)[None], structure, tol)[0]
 
 
 def multiplicity(k: int, s) -> int:
@@ -112,7 +157,7 @@ def multiplicity(k: int, s) -> int:
     s <= k/2. Closed form: (2s+1)/(k/2+s+1) * C(k, k/2+s), always an integer.
     The multiplicities satisfy sum_s (2s+1) m_s = 2^k.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise SpinRangeError(f"tensor order k must be a positive int, got {k!r}")
     two_s = Fraction(s).limit_denominator(2) * 2
     if two_s.denominator != 1 or Fraction(s) * 2 != two_s:
@@ -124,7 +169,8 @@ def multiplicity(k: int, s) -> int:
         raise SpinRangeError(f"spin {s!r} has wrong parity for k={k}")
     j = (k + two_s) // 2
     num = (two_s + 1) * math.comb(k, j)
-    assert num % (j + 1) == 0
+    if num % (j + 1):
+        raise SpinRangeError(f"multiplicity of spin {s!r} in k={k} is not an integer")
     return num // (j + 1)
 
 
@@ -144,7 +190,7 @@ class HaarQuadrature:
     radial_nodes: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.order, (int, np.integer)) and self.order >= 1):
+        if not (_is_int(self.order) and self.order >= 1):
             raise QuadratureOrderError(f"order must be a positive int, got {self.order!r}")
         if self.angular_nodes == 0:
             object.__setattr__(self, "angular_nodes", 2 * self.order + 1)
@@ -218,7 +264,7 @@ def haar_moment(k: int, quadrature: HaarQuadrature | None = None) -> np.ndarray:
     A 4^k x 4^k Hermitian idempotent (the projector onto operators commuting
     with the diagonal k-fold action). Requires ``quadrature.order >= k``.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise QuadratureOrderError(f"moment order k must be a positive int, got {k!r}")
     quad = quadrature if quadrature is not None else default_quadrature(k)
     if quad.order < k:

@@ -11,11 +11,12 @@ from photonpad.channels import (
     photon_number_dephase,
 )
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
-from photonpad.errors import NotDensityOperatorError, SectorRangeError
+from photonpad.errors import NotDensityOperatorError, QuadratureOrderError, SectorRangeError, SpinRangeError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
-from photonpad.su2 import haar_choi
+from photonpad.su2 import HaarQuadrature, haar_choi, multiplicity
 
-from conftest import random_density
+from conftest import random_density, random_unitary
+from test_su2 import dense_lift
 
 
 def pauli8_ensemble():
@@ -45,6 +46,37 @@ def test_lifted_ensemble_shapes():
     assert lifted.shape == (4, 6, 6)
     for mat in lifted:
         assert np.allclose(mat @ mat.conj().T, np.eye(6))
+
+
+@pytest.mark.parametrize("top", range(6))
+def test_apply_channel_matches_dense_loop(rng, top):
+    s = SectorStructure(top)
+    weights = rng.random(5) + 0.1
+    ensemble = WeightedEnsemble([random_unitary(rng) for _ in range(5)], weights / weights.sum())
+    rho = random_density(rng, s.total_dim)
+    expected = np.zeros_like(rho)
+    for w, u in ensemble.items():
+        big = np.zeros_like(rho)
+        for n in range(top + 1):
+            big[s.sector_slice(n), s.sector_slice(n)] = dense_lift(u, n)
+        expected += w * (big @ rho @ big.conj().T)
+    assert np.abs(apply_channel(ensemble, s, rho) - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: SectorStructure(True), SectorRangeError),
+        (lambda: SectorStructure(2).check_sector(True), SectorRangeError),
+        (lambda: multiplicity(True, 0.5), SpinRangeError),
+        (lambda: HaarQuadrature(True), QuadratureOrderError),
+        (lambda: choi_block(pauli_ensemble(), True, 0), SectorRangeError),
+        (lambda: choi_block(pauli_ensemble(), 0, False), SectorRangeError),
+    ],
+)
+def test_int_arguments_reject_bool(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_apply_channel_depolarizes_single_photon():

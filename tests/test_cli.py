@@ -233,6 +233,29 @@ def test_bad_tol_rejected(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["design-check", "--ensemble", "pauli", "--k", "1"],
+        ["analyze", "--ensemble", "pauli", "--max-photons", "2"],
+        ["reproduce", "appendix-a"],
+        ["reproduce", "appendix-b", "--c", "0.6", "--alpha", "1", "--beta", "0"],
+        ["leakage", "--ensemble", "pauli", "--max-photons", "1", "a.json", "b.json"],
+        ["haar", "--max-photons", "1"],
+        ["lift", "--n", "1", "--unitary", "0,1,1,0"],
+    ],
+)
+def test_non_finite_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
+    monkeypatch.chdir(tmp_path)
+    write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 1.0))
+    write_source(tmp_path, "b.json", 0.0, 1.0, (0.0, 1.0))
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: tolerance")
+
+
 def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(

@@ -54,6 +54,9 @@ def test_ensemble_validation():
         WeightedEnsemble([eye, eye], [0.5, 0.4])
     with pytest.raises(WeightSumError):
         WeightedEnsemble([eye, eye], [1.5, -0.5])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(WeightSumError, match="finite"):
+            WeightedEnsemble([eye, eye], [bad, bad])
     with pytest.raises(NotUnitaryError, match="element 1"):
         WeightedEnsemble([eye, 2 * eye], [0.5, 0.5])
 

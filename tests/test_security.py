@@ -10,6 +10,7 @@ from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec
 from photonpad.security import (
     AppendixAReference,
     Classification,
+    _classify,
     antisymmetric_identity_check,
     haar_security_report,
     leakage,
@@ -44,6 +45,12 @@ def test_classification_values():
     assert Classification.SECURE.value == "SECURE"
     assert Classification.PARITY_SECURE.value == "PARITY_SECURE"
     assert Classification.INSECURE.value == "INSECURE"
+
+
+def test_nan_deviation_never_passes():
+    assert _classify(np.array([[0.0, np.nan], [np.nan, 0.0]]), 1e-9) is Classification.PARITY_SECURE
+    assert _classify(np.array([[np.nan, 0.0], [0.0, 0.0]]), 1e-9) is Classification.INSECURE
+    assert _classify(np.zeros((2, 2)), 1e-9) is Classification.SECURE
 
 
 def test_pauli_single_photon_report():

@@ -9,9 +9,10 @@ from photonpad.errors import (
     NotDensityOperatorError,
     NotUnitaryError,
     QuadratureOrderError,
+    SectorRangeError,
     SpinRangeError,
 )
-from photonpad.fock import SectorStructure
+from photonpad.fock import SectorStructure, symmetric_embedding
 from photonpad.su2 import (
     HaarQuadrature,
     block_lift,
@@ -21,10 +22,17 @@ from photonpad.su2 import (
     haar_moment,
     lift_symmetric,
     multiplicity,
+    sector_lifts,
     tensor_power,
 )
 
 from conftest import random_density, random_state, random_unitary
+
+
+def dense_lift(u, n):
+    """Projection oracle V_n^dag U^(x n) V_n through the 2^n x 2^n tensor power."""
+    v = symmetric_embedding(n)
+    return v.conj().T @ tensor_power(np.asarray(u, dtype=complex), n) @ v
 
 
 def closed_form_lift(u, n):
@@ -83,13 +91,35 @@ def test_lift_swap_is_antidiagonal():
 def test_lift_rejects_nonunitary():
     with pytest.raises(NotUnitaryError):
         lift_symmetric(np.array([[1.0, 0.1], [0.0, 1.0]]), 2)
+    with pytest.raises(NotUnitaryError, match="element 1"):
+        sector_lifts(np.stack([np.eye(2), [[1.0, 0.0], [0.0, np.nan]]]), 2)
+    with pytest.raises(NotUnitaryError):
+        sector_lifts(np.eye(2), 2)
+    for top in (-1, 1.0, True):
+        with pytest.raises(SectorRangeError):
+            sector_lifts(np.eye(2)[None], top)
 
 
 def test_lift_matches_closed_form(rng):
-    for _ in range(10):
-        u = random_unitary(rng)
-        for n in range(5):
-            assert np.abs(lift_symmetric(u, n) - closed_form_lift(u, n)).max() < 1e-12
+    us = np.stack([random_unitary(rng) for _ in range(10)])
+    lifts = sector_lifts(us, 10)
+    for n in range(11):
+        assert lifts[n].shape == (10, n + 1, n + 1)
+        for u, swept in zip(us, lifts[n]):
+            dense = dense_lift(u, n)
+            assert np.abs(swept - dense).max() < 1e-12
+            assert np.abs(swept - closed_form_lift(u, n)).max() < 1e-12
+            assert np.abs(lift_symmetric(u, n) - dense).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_lift_stays_unitary_and_multiplicative_at_large_n(rng, n):
+    u, w = random_unitary(rng), random_unitary(rng)
+    lu, lw, luw = sector_lifts(np.stack([u, w, u @ w]), n)[n]
+    eye = np.eye(n + 1)
+    for lifted in (lu, lw, luw):
+        assert np.linalg.norm(lifted.conj().T @ lifted - eye) <= 1e-10
+    assert np.linalg.norm(luw - lu @ lw) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,11 +152,12 @@ def test_block_lift_structure(rng):
     full = block_lift(u, s)
     assert full.shape == (10, 10)
     assert np.allclose(full.conj().T @ full, np.eye(10))
+    expected = np.zeros((10, 10), dtype=complex)
     for n in range(4):
         sl = s.sector_slice(n)
-        assert np.allclose(full[sl, sl], lift_symmetric(u, n))
-    # no coupling between sectors
-    assert np.allclose(full[s.sector_slice(1), s.sector_slice(2)], 0.0)
+        expected[sl, sl] = lift_symmetric(u, n)
+    # each sector is exactly its own lift, with no coupling between sectors
+    assert np.array_equal(full, expected)
 
 
 def test_block_lift_pauli_z():
