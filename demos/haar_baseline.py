@@ -14,13 +14,13 @@ from photonpad import (
     PolarizationSpec,
     SectorStructure,
     SourceSpec,
+    as_choi_operator,
     block_lift,
     build_source_state,
     dagger,
     default_quadrature,
     haar_channel_apply,
     haar_choi,
-    haar_security_report,
 )
 
 
@@ -51,9 +51,12 @@ def main():
     print("Choi operator diagnostics:")
     print(f"  trace = {np.trace(j).real:.6f} (= dim K(2) = {s.total_dim})")
     print(f"  min eigenvalue = {np.linalg.eigvalsh(j).min():.3e} (completely positive)")
-    rep = haar_security_report(2)
-    print(f"  security classification: {rep.classification.value}"
-          f" (worst block deviation {rep.worst_deviation:.3e})")
+    worst = max(
+        np.abs(block - (np.eye((n + 1) ** 2) / (n + 1) if m == n else 0)).max()
+        for (m, n), block in as_choi_operator(j, s).items()
+    )
+    print(f"  every sector-pair block equals delta_mn I/(n+1) (max deviation {worst:.3e}):")
+    print("  the closed-form target security_report holds each ensemble's blocks against")
     print()
 
     print("caveat: 'secure' means the polarization is hidden. A source whose")

@@ -4,18 +4,16 @@ The plaintext of an optical encryption scheme is the polarization of a
 light pulse; the pulse may contain a superposition of photon numbers. A
 qubit unitary drawn from a keyed ensemble acts on every photon at once,
 i.e. through its symmetric lift on each photon-number sector. This package
-computes those lifts, the resulting encryption channels and their Choi
-operators, certifies unitary k-designs against a numerically exact Haar
-quadrature, and classifies schemes as SECURE, PARITY_SECURE, or INSECURE
-depending on which Choi blocks match the Haar channel.
+computes those lifts, the resulting encryption channels and their
+sector-pair Choi blocks, certifies unitary k-designs against a numerically
+exact Haar quadrature, and classifies schemes as SECURE, PARITY_SECURE, or
+INSECURE depending on which Choi blocks match the Haar channel.
 """
 
 from .channels import (
-    ChoiOperator,
     apply_channel,
     as_choi_operator,
     choi_block,
-    full_choi,
     lifted_ensemble,
     parity_dephase,
     photon_number_dephase,
@@ -38,7 +36,6 @@ from .errors import (
     DimensionError,
     NormalizationError,
     NotDensityOperatorError,
-    NotHermitianError,
     NotUnitaryError,
     ParseError,
     PhotonPadError,
@@ -60,7 +57,6 @@ from .security import (
     Classification,
     SecurityReport,
     antisymmetric_identity_check,
-    haar_security_report,
     leakage,
     reproduce_appendix_a,
     reproduce_appendix_b,
@@ -82,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhotonPadError",
-    "NotHermitianError",
     "NotUnitaryError",
     "NotDensityOperatorError",
     "DimensionError",
@@ -124,15 +119,12 @@ __all__ = [
     "lifted_ensemble",
     "apply_channel",
     "choi_block",
-    "ChoiOperator",
-    "full_choi",
     "as_choi_operator",
     "parity_dephase",
     "photon_number_dephase",
     "Classification",
     "SecurityReport",
     "security_report",
-    "haar_security_report",
     "leakage",
     "AppendixAReference",
     "reproduce_appendix_a",

@@ -24,21 +24,17 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .designs import WeightedEnsemble
 from .errors import SectorRangeError
 from .fock import SectorStructure, _is_int
-from .su2 import _block_lifts, check_density, lift_symmetric
+from .su2 import _block_lifts, check_density, sector_lifts
 
 __all__ = [
     "lifted_ensemble",
     "apply_channel",
     "choi_block",
-    "ChoiOperator",
-    "full_choi",
     "as_choi_operator",
     "parity_dephase",
     "photon_number_dephase",
@@ -76,7 +72,8 @@ def choi_block(
     """Sector-pair Choi block C_mn, shape ((m+1)^2, (n+1)^2).
 
     Any non-negative m, n are meaningful; passing a structure additionally
-    bounds them by its maximum photon number.
+    bounds them by its maximum photon number. One lift sweep to max(m, n)
+    gives the stacks A_m, A_n of flattened lifts, and C_mn = (q A_m)^T conj(A_n).
     """
     for label, sector in (("m", m), ("n", n)):
         if not (_is_int(sector) and sector >= 0):
@@ -84,71 +81,33 @@ def choi_block(
     if structure is not None:
         m = structure.check_sector(m)
         n = structure.check_sector(n)
-    out = np.zeros(((m + 1) ** 2, (n + 1) ** 2), dtype=np.complex128)
-    for w, u in ensemble.items():
-        vm = lift_symmetric(u, m).reshape(-1)
-        vn = lift_symmetric(u, n).reshape(-1)
-        out += w * np.outer(vm, vn.conj())
-    return out
+    lifts = sector_lifts(ensemble.unitaries, max(m, n))
+    a_m = lifts[m].reshape(ensemble.size, -1)
+    a_n = lifts[n].reshape(ensemble.size, -1)
+    return (ensemble.weights[:, None] * a_m).T @ a_n.conj()
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiOperator:
-    """Full Choi operator of an encryption channel on K(N).
+def as_choi_operator(matrix: np.ndarray, structure: SectorStructure) -> dict:
+    """Sector-pair block map {(m, n): C_mn} of a dense D^2 x D^2 Choi matrix.
 
-    ``matrix`` is the D^2 x D^2 operator with D = structure.total_dim, rows
-    and columns indexed by pairs (a, i) flattened row-major. ``blocks`` maps
-    (m, n) to the sector-pair submatrix with both row factors in sector m
-    and both column factors in sector n; everything outside these blocks
-    is structurally zero.
+    Rows and columns of ``matrix`` are pairs (a, i) flattened row-major with
+    D = structure.total_dim; block (m, n) keeps the rows with both factors
+    in sector m and the columns with both factors in sector n. The package
+    itself never forms the dense matrix: this slicing is the oracle's view
+    that ``choi_block`` and the ``haar`` command are checked against.
     """
-
-    matrix: np.ndarray
-    structure: SectorStructure
-    blocks: dict
-
-    def block(self, m: int, n: int) -> np.ndarray:
-        m = self.structure.check_sector(m)
-        n = self.structure.check_sector(n)
-        return self.blocks[(m, n)]
-
-    def to_json_dict(self) -> dict:
-        """Schema: {"max_photons": N, "blocks": [{"m", "n", "matrix"}, ...]}."""
-        blocks = []
-        for m in range(self.structure.max_photons + 1):
-            for n in range(self.structure.max_photons + 1):
-                b = self.block(m, n)
-                blocks.append(
-                    {"m": m, "n": n, "matrix": [[[z.real, z.imag] for z in row] for row in b]}
-                )
-        return {"max_photons": self.structure.max_photons, "blocks": blocks}
-
-
-def _pair_indices(structure: SectorStructure, n: int) -> list[int]:
-    d = structure.total_dim
-    s = structure.sector_slice(n)
-    return [a * d + i for a in range(s.start, s.stop) for i in range(s.start, s.stop)]
-
-
-def as_choi_operator(matrix: np.ndarray, structure: SectorStructure) -> ChoiOperator:
-    """Wrap a D^2 x D^2 Choi matrix, slicing out its sector-pair block map."""
     d = structure.total_dim
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (d * d, d * d):
         raise SectorRangeError(f"expected shape {(d * d, d * d)}, got {matrix.shape}")
-    blocks = {}
-    for m in range(structure.max_photons + 1):
-        rows = _pair_indices(structure, m)
-        for n in range(structure.max_photons + 1):
-            cols = _pair_indices(structure, n)
-            blocks[(m, n)] = matrix[np.ix_(rows, cols)]
-    return ChoiOperator(matrix=matrix, structure=structure, blocks=blocks)
-
-
-def full_choi(ensemble: WeightedEnsemble, structure: SectorStructure) -> ChoiOperator:
-    """Choi operator J = sum_j q_j vec(L(U_j)) vec(L(U_j))^dag, plus its block map."""
-    vecs = lifted_ensemble(ensemble, structure).reshape(ensemble.size, -1)
-    return as_choi_operator((ensemble.weights * vecs.T) @ vecs.conj(), structure)
+    j = matrix.reshape(d, d, d, d)
+    sectors = range(structure.max_photons + 1)
+    slices = [structure.sector_slice(n) for n in sectors]
+    return {
+        (m, n): j[slices[m], slices[m], slices[n], slices[n]].reshape((m + 1) ** 2, (n + 1) ** 2)
+        for m in sectors
+        for n in sectors
+    }
 
 
 def parity_dephase(rho: np.ndarray, structure: SectorStructure, tol: float = 1e-10) -> np.ndarray:

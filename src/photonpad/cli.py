@@ -28,10 +28,10 @@ import sys
 
 import numpy as np
 
-from .channels import as_choi_operator, parity_dephase, photon_number_dephase
+from .channels import parity_dephase, photon_number_dephase
 from .designs import is_k_design, key_length, load_ensemble
 from .errors import ParseError, PhotonPadError
-from .fock import SectorStructure, SourceSpec
+from .fock import SourceSpec
 from .linalg import as_matrix
 from .security import (
     Classification,
@@ -40,7 +40,7 @@ from .security import (
     reproduce_appendix_b,
     security_report,
 )
-from .su2 import haar_choi, lift_symmetric
+from .su2 import lift_symmetric
 
 __all__ = ["main", "parse_complex"]
 
@@ -73,6 +73,10 @@ def _fmt_complex(z: complex) -> str:
 
 def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> list[str]:
     return [indent + " ".join(_fmt_complex(z) for z in row) for row in np.asarray(mat)]
+
+
+def _to_pairs(mat: np.ndarray) -> list:
+    return [[[z.real, z.imag] for z in row] for row in mat]
 
 
 def _matrix_from_pairs(entries: list) -> np.ndarray:
@@ -139,8 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_design_check(args) -> tuple[dict, int]:
-    tol = _check_tol(args.tol, 1e-9)
+def _cmd_design_check(args, tol: float) -> tuple[dict, int]:
     if args.k < 1:
         raise ParseError(f"--k must be >= 1, got {args.k}")
     ensemble = load_ensemble(args.ensemble)
@@ -175,8 +178,7 @@ def _render_design_check(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_analyze(args) -> tuple[dict, int]:
-    tol = _check_tol(args.tol, 1e-9)
+def _cmd_analyze(args, tol: float) -> tuple[dict, int]:
     _check_bounds(args.max_photons, minimum=1)
     ensemble = load_ensemble(args.ensemble)
     report = security_report(ensemble, args.max_photons, tol)
@@ -198,8 +200,7 @@ def _render_analyze(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_reproduce_a(args) -> tuple[dict, int]:
-    tol = _check_tol(args.tol, 1e-10)
+def _cmd_reproduce_a(args, tol: float) -> tuple[dict, int]:
     result = reproduce_appendix_a(tol)
     return {"which": "appendix-a", **result.to_json_dict()}, 0 if result.passed else 2
 
@@ -219,8 +220,7 @@ def _render_reproduce_a(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_reproduce_b(args) -> tuple[dict, int]:
-    tol = _check_tol(args.tol, 1e-10)
+def _cmd_reproduce_b(args, tol: float) -> tuple[dict, int]:
     result = reproduce_appendix_b(args.c, args.alpha, args.beta, tol)
     payload = {
         "which": "appendix-b",
@@ -246,8 +246,7 @@ def _render_reproduce_b(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_leakage(args) -> tuple[dict, int]:
-    tol = _check_tol(args.tol, 1e-9)
+def _cmd_leakage(args, tol: float) -> tuple[dict, int]:
     _check_bounds(args.max_photons, minimum=1)
     ensemble = load_ensemble(args.ensemble)
     sources = []
@@ -255,7 +254,7 @@ def _cmd_leakage(args) -> tuple[dict, int]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 sources.append(SourceSpec.from_json(fh.read()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read source spec {path!r}: {exc}") from exc
     pre = {"none": None, "parity": parity_dephase, "photon-number": photon_number_dephase}[args.dephase]
     value = leakage(ensemble, sources[0], sources[1], args.max_photons, pre_channel=pre)
@@ -284,12 +283,22 @@ def _render_leakage(payload: dict) -> str:
     )
 
 
-def _cmd_haar(args) -> tuple[dict, int]:
-    _check_tol(args.tol, 1e-9)
+def _cmd_haar(args, tol: float) -> tuple[dict, int]:
+    """The Haar channel's Choi blocks in closed form: C_mn = delta_mn I / (n+1)."""
     _check_bounds(args.max_photons)
-    structure = SectorStructure(args.max_photons)
-    choi = as_choi_operator(haar_choi(structure), structure)
-    return choi.to_json_dict(), 0
+    sectors = range(args.max_photons + 1)
+    blocks = [
+        {
+            "m": m,
+            "n": n,
+            "matrix": _to_pairs(
+                np.eye((n + 1) ** 2) / (n + 1) if m == n else np.zeros(((m + 1) ** 2, (n + 1) ** 2))
+            ),
+        }
+        for m in sectors
+        for n in sectors
+    ]
+    return {"max_photons": args.max_photons, "blocks": blocks}, 0
 
 
 def _render_haar(payload: dict) -> str:
@@ -300,8 +309,7 @@ def _render_haar(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_lift(args) -> tuple[dict, int]:
-    tol = _check_tol(args.tol, 1e-10)
+def _cmd_lift(args, tol: float) -> tuple[dict, int]:
     if not 0 <= args.n <= MAX_PHOTON_BOUND:
         raise ParseError(f"--n must be in [0, {MAX_PHOTON_BOUND}], got {args.n}")
     parts = args.unitary.split(",")
@@ -312,8 +320,8 @@ def _cmd_lift(args) -> tuple[dict, int]:
     lifted = lift_symmetric(u, args.n, tol)
     payload = {
         "n": args.n,
-        "unitary": [[[z.real, z.imag] for z in row] for row in u],
-        "matrix": [[[z.real, z.imag] for z in row] for row in lifted],
+        "unitary": _to_pairs(u),
+        "matrix": _to_pairs(lifted),
     }
     return payload, 0
 
@@ -324,50 +332,30 @@ def _render_lift(payload: dict) -> str:
     return "\n".join(lines)
 
 
-_RENDERERS = {
-    "design-check": _render_design_check,
-    "analyze": _render_analyze,
-    "reproduce/appendix-a": _render_reproduce_a,
-    "reproduce/appendix-b": _render_reproduce_b,
-    "leakage": _render_leakage,
-    "haar": _render_haar,
-    "lift": _render_lift,
+# key: (default --tol, handler, text renderer)
+_COMMANDS = {
+    "design-check": (1e-9, _cmd_design_check, _render_design_check),
+    "analyze": (1e-9, _cmd_analyze, _render_analyze),
+    "reproduce/appendix-a": (1e-10, _cmd_reproduce_a, _render_reproduce_a),
+    "reproduce/appendix-b": (1e-10, _cmd_reproduce_b, _render_reproduce_b),
+    "leakage": (1e-9, _cmd_leakage, _render_leakage),
+    "haar": (1e-9, _cmd_haar, _render_haar),
+    "lift": (1e-10, _cmd_lift, _render_lift),
 }
 
 
-def _dispatch(args) -> tuple[str, dict, int]:
-    if args.command == "reproduce":
-        key = f"reproduce/{args.which}"
-        payload, code = (_cmd_reproduce_a if args.which == "appendix-a" else _cmd_reproduce_b)(args)
-    else:
-        key = args.command
-        handler = {
-            "design-check": _cmd_design_check,
-            "analyze": _cmd_analyze,
-            "leakage": _cmd_leakage,
-            "haar": _cmd_haar,
-            "lift": _cmd_lift,
-        }[args.command]
-        payload, code = handler(args)
-    return key, payload, code
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        key, payload, code = _dispatch(args)
+        args, extras = _build_parser().parse_known_args(argv)
+        if extras:  # argparse would print them raw, and a token may hold a line break
+            raise ParseError(f"unrecognized arguments: {' '.join(map(repr, extras))}")
+        key = f"reproduce/{args.which}" if args.command == "reproduce" else args.command
+        default_tol, handler, render = _COMMANDS[key]
+        payload, code = handler(args, _check_tol(args.tol, default_tol))
     except PhotonPadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        rendered = json.dumps(payload, indent=2)
-    else:
-        rendered = _RENDERERS[key](payload)
+    rendered = json.dumps(payload, indent=2) if args.format == "json" else render(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitaryError, ParseError, QuadratureOrderError, WeightSumError
-from .fock import _is_int
-from .linalg import frobenius, is_unitary
-from .su2 import HaarQuadrature, default_quadrature, haar_moment, tensor_power
+from .fock import _is_int, _json_complex, _json_number
+from .linalg import frobenius
+from .su2 import HaarQuadrature, _check_qubit_unitaries, default_quadrature, haar_moment, tensor_power
 
 __all__ = [
     "WeightedEnsemble",
@@ -85,9 +85,7 @@ class WeightedEnsemble:
         ws = np.asarray(self.weights, dtype=np.float64)
         if us.ndim != 3 or us.shape[1:] != (2, 2) or us.shape[0] == 0:
             raise NotUnitaryError(f"expected shape (m, 2, 2), got {us.shape}")
-        for i, u in enumerate(us):
-            if not is_unitary(u, 1e-10):
-                raise NotUnitaryError(f"element {i} is not unitary within tolerance")
+        _check_qubit_unitaries(us, 1e-10)
         if ws.shape != (us.shape[0],):
             raise WeightSumError(f"need {us.shape[0]} weights, got shape {ws.shape}")
         if not np.all(np.isfinite(ws)):
@@ -278,16 +276,20 @@ def ensemble_to_json_dict(ensemble: WeightedEnsemble) -> dict:
 
 def ensemble_from_json_dict(data: dict) -> WeightedEnsemble:
     try:
-        name = str(data.get("name", ""))
+        name = data.get("name", "")
         elements = data["elements"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed ensemble spec: {exc}") from exc
+    if not isinstance(name, str):
+        raise ParseError(f"ensemble name must be a string, got {type(name).__name__}")
+    if not isinstance(elements, list):
+        raise ParseError(f"ensemble elements must be a list, got {type(elements).__name__}")
     weights, unitaries = [], []
     for i, el in enumerate(elements):
         try:
-            weights.append(float(el["weight"]))
-            unitaries.append([[complex(re, im) for re, im in row] for row in el["unitary"]])
-        except (KeyError, TypeError, ValueError) as exc:
+            weights.append(_json_number(el["weight"]))
+            unitaries.append([[_json_complex(z) for z in row] for row in el["unitary"]])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed ensemble element {i}: {exc}") from exc
     if not unitaries:
         raise ParseError("ensemble has no elements")
@@ -311,13 +313,17 @@ def load_ensemble(name_or_path: str | os.PathLike) -> WeightedEnsemble:
         return builders[name_or_path]()
     try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise ParseError(
             f"no ensemble named {name_or_path!r}: not a built-in "
             f"({', '.join(sorted(builders))}) and no such file"
         ) from None
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read ensemble file {name_or_path!r}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ParseError(f"invalid JSON in {name_or_path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("ensemble JSON must be an object")

@@ -5,10 +5,6 @@ class PhotonPadError(ValueError):
     """Base class for all photonpad validation errors."""
 
 
-class NotHermitianError(PhotonPadError):
-    """Matrix expected to be Hermitian is not, within tolerance."""
-
-
 class NotUnitaryError(PhotonPadError):
     """Matrix expected to be unitary is not, within tolerance."""
 

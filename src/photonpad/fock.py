@@ -49,6 +49,25 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _norm_sq(amplitudes) -> float:
+    """sum |z|^2, which is inf (never an OverflowError) once a square exceeds the float range."""
+    return sum(abs(z) * abs(z) for z in amplitudes)
+
+
+def _json_number(value) -> float:
+    """A JSON number as a float; bools and numeric strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _json_complex(pair) -> complex:
+    """An [re, im] pair of JSON numbers as a complex."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise TypeError(f"expected an [re, im] pair, got {type(pair).__name__}")
+    return complex(_json_number(pair[0]), _json_number(pair[1]))
+
+
 def _as_complex(value, what: str) -> complex:
     z = complex(value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -135,7 +154,7 @@ class PolarizationSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _as_complex(self.alpha, "alpha"))
         object.__setattr__(self, "beta", _as_complex(self.beta, "beta"))
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+        norm = _norm_sq((self.alpha, self.beta))
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(f"|alpha|^2 + |beta|^2 = {norm!r} is not 1 within {NORM_TOL}")
 
@@ -157,7 +176,7 @@ class SourceSpec:
         if not amps:
             raise NormalizationError("photon_amplitudes must be non-empty")
         object.__setattr__(self, "photon_amplitudes", amps)
-        norm = sum(abs(c) ** 2 for c in amps)
+        norm = _norm_sq(amps)
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(f"sum |c_n|^2 = {norm!r} is not 1 within {NORM_TOL}")
 
@@ -175,10 +194,10 @@ class SourceSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceSpec":
         try:
-            alpha = complex(*data["alpha"])
-            beta = complex(*data["beta"])
-            amps = tuple(complex(re, im) for re, im in data["photon_amplitudes"])
-        except (KeyError, TypeError, ValueError) as exc:
+            alpha = _json_complex(data["alpha"])
+            beta = _json_complex(data["beta"])
+            amps = tuple(_json_complex(c) for c in data["photon_amplitudes"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed source spec: {exc}") from exc
         return cls(PolarizationSpec(alpha, beta), amps)
 
@@ -186,7 +205,7 @@ class SourceSpec:
     def from_json(cls, text: str) -> "SourceSpec":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
             raise ParseError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError("source spec JSON must be an object")

@@ -1,28 +1,23 @@
-"""Small dense complex-matrix kernel used throughout the package.
+"""Small dense complex-matrix helpers used throughout the package.
 
 Everything is a ``numpy.ndarray`` with dtype complex128. These helpers add
-the validation and conventions the rest of the package relies on: ascending
-Hermitian eigensystems with a certified reconstruction residual, trace norms
-via singular values, and tolerance-based structure predicates.
+the validation and conventions the rest of the package relies on: finite
+square matrices, Frobenius and trace norms (the latter via singular
+values), and a tolerance-based Hermiticity predicate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError
+from .errors import DimensionError
 
 __all__ = [
     "as_matrix",
     "dagger",
-    "kron",
     "frobenius",
-    "herm_eig",
     "trace_norm",
     "is_hermitian",
-    "is_unitary",
-    "is_psd",
-    "trace_out_first",
 ]
 
 
@@ -41,11 +36,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128).conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major pairing (i, j) -> i * cols(b) + j."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
-
-
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(a)))
@@ -54,48 +44,6 @@ def frobenius(a: np.ndarray) -> float:
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     a = np.asarray(a, dtype=np.complex128)
     return a.ndim == 2 and a.shape[0] == a.shape[1] and frobenius(a - dagger(a)) <= tol
-
-
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return frobenius(dagger(a) @ a - np.eye(a.shape[0])) <= tol
-
-
-def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
-    """Hermitian with eigenvalues >= -tol."""
-    if not is_hermitian(a, tol):
-        return False
-    w = np.linalg.eigvalsh(np.asarray(a, dtype=np.complex128))
-    return bool(w.min() >= -tol)
-
-
-def herm_eig(a: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and orthonormal
-    eigenvector columns ``v``, so that ``a = v @ diag(w) @ v.conj().T``.
-    The reconstruction residual is guaranteed to satisfy
-    ``||a - v w v^dag||_F <= 1e-10 * max(1, ||a||_F)``.
-
-    Raises
-    ------
-    NotHermitianError
-        If ``a`` deviates from its conjugate transpose by more than ``tol``
-        in Frobenius norm.
-    """
-    a = as_matrix(a)
-    if frobenius(a - dagger(a)) > tol:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(a)
-    residual = frobenius(a - (v * w) @ dagger(v))
-    bound = 1e-10 * max(1.0, frobenius(a))
-    if residual > bound:
-        raise NotHermitianError(
-            f"eigendecomposition residual {residual:.3e} exceeds bound {bound:.3e}"
-        )
-    return w, v
 
 
 def trace_norm(a: np.ndarray) -> float:
@@ -107,17 +55,3 @@ def trace_norm(a: np.ndarray) -> float:
     """
     a = as_matrix(a)
     return float(np.linalg.svd(a, compute_uv=False).sum())
-
-
-def trace_out_first(j: np.ndarray, d_first: int) -> np.ndarray:
-    """Partial trace over the first factor of a bipartite operator.
-
-    ``j`` acts on C^d1 (x) C^d2 with row-major Kronecker indexing; returns
-    the d2 x d2 operator tr_1[j].
-    """
-    j = as_matrix(j)
-    d = j.shape[0]
-    if d % d_first:
-        raise DimensionError(f"dimension {d} not divisible by {d_first}")
-    d2 = d // d_first
-    return np.einsum("ikil->kl", j.reshape(d_first, d2, d_first, d2))

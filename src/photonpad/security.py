@@ -38,18 +38,16 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import _encrypt, apply_channel, as_choi_operator, choi_block, lifted_ensemble
+from .channels import _encrypt, apply_channel, choi_block, lifted_ensemble
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
 from .fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
 from .linalg import frobenius, trace_norm
-from .su2 import haar_choi
 
 __all__ = [
     "Classification",
     "SecurityReport",
     "security_report",
-    "haar_security_report",
     "leakage",
     "AppendixAReference",
     "AppendixAResult",
@@ -118,20 +116,6 @@ class SecurityReport:
         return json.dumps(self.to_json_dict())
 
 
-def _report_from_deviations(
-    name: str, max_photons: int, tol: float, deviations: np.ndarray
-) -> SecurityReport:
-    deviations = np.asarray(deviations, dtype=np.float64)
-    deviations.setflags(write=False)
-    return SecurityReport(
-        ensemble_name=name,
-        max_photons=max_photons,
-        tol=float(tol),
-        deviations=deviations,
-        classification=_classify(deviations, tol),
-    )
-
-
 def security_report(
     ensemble: WeightedEnsemble, max_photons: int, tol: float = 1e-9
 ) -> SecurityReport:
@@ -150,22 +134,14 @@ def security_report(
             if m == n:
                 block = block - np.eye((n + 1) ** 2) / (n + 1)
             deviations[m, n] = frobenius(block)
-    return _report_from_deviations(ensemble.name or "ensemble", top, tol, deviations)
-
-
-def haar_security_report(max_photons: int, tol: float = 1e-9) -> SecurityReport:
-    """Security report of the analytic Haar-averaged channel (always SECURE)."""
-    structure = SectorStructure(max_photons)
-    top = structure.max_photons
-    choi = as_choi_operator(haar_choi(structure), structure)
-    deviations = np.zeros((top + 1, top + 1))
-    for m in range(top + 1):
-        for n in range(top + 1):
-            block = choi.block(m, n)
-            if m == n:
-                block = block - np.eye((n + 1) ** 2) / (n + 1)
-            deviations[m, n] = frobenius(block)
-    return _report_from_deviations("haar", top, tol, deviations)
+    deviations.setflags(write=False)
+    return SecurityReport(
+        ensemble_name=ensemble.name or "ensemble",
+        max_photons=top,
+        tol=float(tol),
+        deviations=deviations,
+        classification=_classify(deviations, tol),
+    )
 
 
 def leakage(

@@ -80,7 +80,9 @@ def _check_qubit_unitaries(us: np.ndarray, tol: float) -> np.ndarray:
     us = np.asarray(us, dtype=np.complex128)
     if us.ndim != 3 or us.shape[1:] != (2, 2):
         raise NotUnitaryError(f"expected a stack of 2x2 matrices, got shape {us.shape}")
-    residual = np.linalg.norm(us.conj().transpose(0, 2, 1) @ us - np.eye(2), axis=(1, 2))
+    # Entries near the float range overflow to an inf or NaN residual, which fails below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(us.conj().transpose(0, 2, 1) @ us - np.eye(2), axis=(1, 2))
     bad = np.flatnonzero(~(residual <= tol))
     if bad.size:
         raise NotUnitaryError(f"element {bad[0]} is not unitary within tolerance")

@@ -5,7 +5,6 @@ from photonpad.channels import (
     apply_channel,
     as_choi_operator,
     choi_block,
-    full_choi,
     lifted_ensemble,
     parity_dephase,
     photon_number_dephase,
@@ -13,7 +12,7 @@ from photonpad.channels import (
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
 from photonpad.errors import NotDensityOperatorError, QuadratureOrderError, SectorRangeError, SpinRangeError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
-from photonpad.su2 import HaarQuadrature, haar_choi, multiplicity
+from photonpad.su2 import HaarQuadrature, block_lift, haar_choi, multiplicity
 
 from conftest import random_density, random_unitary
 from test_su2 import dense_lift
@@ -34,10 +33,19 @@ def source_density(alpha, beta, amplitudes, structure):
     return np.outer(psi, psi.conj())
 
 
-def apply_via_choi(choi, rho):
+def dense_choi(ensemble, structure):
+    """Oracle: the D^2 x D^2 Choi matrix J = sum_j q_j vec L(U_j) vec L(U_j)^dag and its block map."""
+    d = structure.total_dim
+    j = np.zeros((d * d, d * d), dtype=complex)
+    for w, u in ensemble.items():
+        v = block_lift(u, structure).reshape(-1)
+        j += w * np.outer(v, v.conj())
+    return j, as_choi_operator(j, structure)
+
+
+def apply_via_choi(j, rho):
     d = rho.shape[0]
-    j = choi.matrix.reshape(d, d, d, d)
-    return np.einsum("aibk,ik->ab", j, rho)
+    return np.einsum("aibk,ik->ab", j.reshape(d, d, d, d), rho)
 
 
 def test_lifted_ensemble_shapes():
@@ -135,6 +143,17 @@ def test_choi_block_sign_pairs_cancel_cross_blocks():
     assert np.abs(b).max() < 1e-15
 
 
+@pytest.mark.parametrize("size", [1, 2, 5, 24])
+def test_choi_block_matches_dense_loop(rng, size):
+    weights = rng.random(size) + 0.1
+    ensemble = WeightedEnsemble([random_unitary(rng) for _ in range(size)], weights / weights.sum())
+    vecs = [[dense_lift(u, n).reshape(-1) for n in range(7)] for u in ensemble.unitaries]
+    for m in range(7):
+        for n in range(7):
+            expected = sum(w * np.outer(v[m], v[n].conj()) for w, v in zip(ensemble.weights, vecs))
+            assert np.abs(choi_block(ensemble, m, n) - expected).max() <= 1e-13
+
+
 def test_choi_block_range_checks():
     with pytest.raises(SectorRangeError):
         choi_block(pauli_ensemble(), -1, 0)
@@ -146,59 +165,48 @@ def test_full_choi_identity_channel():
     s = SectorStructure(1)
     e = WeightedEnsemble([np.eye(2)], [1.0])
     omega = np.eye(s.total_dim).reshape(-1)
-    assert np.abs(full_choi(e, s).matrix - np.outer(omega, omega)).max() < 1e-14
+    assert np.abs(dense_choi(e, s)[0] - np.outer(omega, omega)).max() < 1e-14
 
 
 def test_full_choi_is_psd_and_trace_preserving():
     for e in (pauli_ensemble(), clifford12_ensemble()):
         for n in (1, 2, 3):
             s = SectorStructure(n)
-            choi = full_choi(e, s)
+            j, _ = dense_choi(e, s)
             d = s.total_dim
-            assert np.isclose(np.trace(choi.matrix).real, d, atol=1e-10)
-            assert np.linalg.eigvalsh(choi.matrix).min() > -1e-10
-            partial = np.einsum("aiak->ik", choi.matrix.reshape(d, d, d, d))
+            assert np.isclose(np.trace(j).real, d, atol=1e-10)
+            assert np.linalg.eigvalsh(j).min() > -1e-10
+            partial = np.einsum("aiak->ik", j.reshape(d, d, d, d))
             assert np.abs(partial - np.eye(d)).max() < 1e-10
 
 
 def test_full_choi_blocks_match_choi_block():
     s = SectorStructure(2)
-    choi = full_choi(clifford12_ensemble(), s)
-    for m in range(3):
-        for n in range(3):
-            assert np.abs(choi.block(m, n) - choi_block(clifford12_ensemble(), m, n)).max() < 1e-13
+    for e in (pauli8_ensemble(), clifford12_ensemble()):
+        _, blocks = dense_choi(e, s)
+        assert sorted(blocks) == [(m, n) for m in range(3) for n in range(3)]
+        for (m, n), block in blocks.items():
+            assert np.abs(block - choi_block(e, m, n, s)).max() < 1e-13
 
 
 def test_choi_reproduces_channel_action(rng):
     s = SectorStructure(2)
     for e in (pauli_ensemble(), clifford12_ensemble()):
-        choi = full_choi(e, s)
+        j, _ = dense_choi(e, s)
         for _ in range(10):
             rho = random_density(rng, s.total_dim)
-            assert np.abs(apply_via_choi(choi, rho) - apply_channel(e, s, rho)).max() < 1e-11
+            assert np.abs(apply_via_choi(j, rho) - apply_channel(e, s, rho)).max() < 1e-11
 
 
 def test_sign_balanced_paulis_reach_haar_choi():
     s = SectorStructure(1)
-    choi = full_choi(pauli8_ensemble(), s)
-    assert np.abs(choi.matrix - haar_choi(s)).max() < 1e-14
+    j, _ = dense_choi(pauli8_ensemble(), s)
+    assert np.abs(j - haar_choi(s)).max() < 1e-14
 
 
 def test_as_choi_operator_rejects_wrong_shape():
     with pytest.raises(SectorRangeError):
         as_choi_operator(np.eye(5), SectorStructure(1))
-
-
-def test_choi_json_schema():
-    s = SectorStructure(1)
-    d = full_choi(pauli_ensemble(), s).to_json_dict()
-    assert d["max_photons"] == 1
-    assert len(d["blocks"]) == 4
-    first = d["blocks"][0]
-    assert first["m"] == 0 and first["n"] == 0
-    assert first["matrix"] == [[[1.0, 0.0]]]
-    by_key = {(b["m"], b["n"]): b for b in d["blocks"]}
-    assert len(by_key[(1, 1)]["matrix"]) == 4
 
 
 def test_parity_dephase_keeps_same_parity_coherence():

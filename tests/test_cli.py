@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from photonpad.cli import main, parse_complex
+from photonpad.channels import as_choi_operator
+from photonpad.cli import _COMMANDS, main, parse_complex
 from photonpad.errors import ParseError
+from photonpad.fock import SectorStructure
+from photonpad.su2 import haar_choi
 
 
 def run(capsys, *argv):
@@ -197,6 +200,39 @@ def test_haar_payload(capsys):
     assert np.abs(cross).max() < 1e-14
 
 
+def test_haar_payload_matches_dense_oracle(capsys):
+    # the closed-form blocks, serialized exactly as the sliced dense Haar Choi matrix
+    for top in range(5):
+        s = SectorStructure(top)
+        blocks = as_choi_operator(haar_choi(s), s)
+        expected = {
+            "max_photons": top,
+            "blocks": [
+                {"m": m, "n": n, "matrix": [[[z.real, z.imag] for z in row] for row in blocks[(m, n)]]}
+                for m in range(top + 1)
+                for n in range(top + 1)
+            ],
+        }
+        code, out, _ = run(capsys, "haar", "--max-photons", str(top))
+        assert code == 0
+        assert out == json.dumps(expected, indent=2) + "\n"
+        code, out, _ = run(capsys, "haar", "--max-photons", str(top), "--format", "text")
+        assert code == 0
+        assert out == _COMMANDS["haar"][2](expected) + "\n"
+
+
+def test_choi_json_schema(capsys):
+    _, out, _ = run(capsys, "haar", "--max-photons", "1")
+    d = json.loads(out)
+    assert d["max_photons"] == 1
+    assert [(b["m"], b["n"]) for b in d["blocks"]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert set(d["blocks"][0]) == {"m", "n", "matrix"}
+    assert d["blocks"][0]["matrix"] == [[[1.0, 0.0]]]
+    by_key = {(b["m"], b["n"]): b["matrix"] for b in d["blocks"]}
+    assert len(by_key[(1, 1)]) == 4 and len(by_key[(1, 1)][0]) == 4
+    assert len(by_key[(0, 1)]) == 1 and len(by_key[(0, 1)][0]) == 4
+
+
 def test_lift_diagonal_unitary(capsys):
     code, out, _ = run(capsys, "lift", "--n", "2", "--unitary", "i,0,0,-i")
     assert code == 0
@@ -256,6 +292,34 @@ def test_non_finite_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     assert len(err.splitlines()) == 1 and err.startswith("error: tolerance")
 
 
+def assert_fails_closed(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_ensemble_elements_not_a_list_fails_closed(capsys, tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"elements": 5}))
+    assert_fails_closed(capsys, "analyze", "--ensemble", str(path))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_unitary_fails_closed(capsys, tmp_path):
+    assert_fails_closed(capsys, "lift", "--n", "2", "--unitary", "1e308,0,0,1")
+    path = tmp_path / "e.json"
+    entries = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    path.write_text(json.dumps({"elements": [{"weight": 1.0, "unitary": entries}]}))
+    assert_fails_closed(capsys, "analyze", "--ensemble", str(path))
+
+
+def test_overflowing_amplitude_fails_closed(capsys, tmp_path):
+    assert_fails_closed(capsys, "reproduce", "appendix-b", "--c", "0.5", "--alpha", "1e200", "--beta", "0")
+    a = write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 1.0))
+    b = write_source(tmp_path, "b.json", 1.0, 0.0, (0.0, 1.5e154))
+    assert_fails_closed(capsys, "leakage", "--ensemble", "pauli", "--max-photons", "1", a, b)
+
+
 def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(
@@ -291,16 +355,28 @@ def test_usage_error_exit_code(capsys):
     code, _, err = run(capsys, "design-check", "--ensemble", "pauli")
     assert code == 1
     assert err
+    # stray tokens are quoted, so a line break inside one cannot split the message
+    code, out, err = run(capsys, "haar", "extra\ntoken")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: unrecognized arguments: 'extra\\ntoken'"]
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import photonpad
+
+    # the child imports the same package the tests do, installed or not
+    src = str(Path(photonpad.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "photonpad", "reproduce", "appendix-a"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True

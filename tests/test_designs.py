@@ -238,3 +238,17 @@ def test_from_json_dict_reports_bad_element_index():
     del d["elements"][2]["unitary"]
     with pytest.raises(ParseError, match="2"):
         ensemble_from_json_dict(d)
+    # JSON numbers only: a bool, a numeric string or an int past the float range is malformed
+    for field, value in (("weight", True), ("weight", "0.25"), ("weight", 10**400)):
+        d = ensemble_to_json_dict(pauli_ensemble())
+        d["elements"][2][field] = value
+        with pytest.raises(ParseError, match="element 2"):
+            ensemble_from_json_dict(d)
+    for entry in ([True, False], ["1", 0], [1.0], [10**400, 0]):
+        d = ensemble_to_json_dict(pauli_ensemble())
+        d["elements"][2]["unitary"][0][1] = entry
+        with pytest.raises(ParseError, match="element 2"):
+            ensemble_from_json_dict(d)
+    for data in ({"name": 7, "elements": []}, {"elements": 5}):
+        with pytest.raises(ParseError):
+            ensemble_from_json_dict(data)

@@ -88,6 +88,11 @@ def test_source_spec_parse_errors():
         SourceSpec.from_json("[1, 2, 3]")
     with pytest.raises(ParseError):
         SourceSpec.from_json(json.dumps({"alpha": [1.0, 0.0], "beta": [0.0, 0.0]}))
+    # [re, im] pairs of JSON numbers only; [] used to read as 0
+    amps = [[0.0, 0.0], [1.0, 0.0]]
+    for alpha, beta in (([], [1, 0]), ([True, False], [0, 0]), (["1", 0], [0, 0]), ([10**400, 0], [0, 0])):
+        with pytest.raises(ParseError):
+            SourceSpec.from_json(json.dumps({"alpha": alpha, "beta": beta, "photon_amplitudes": amps}))
 
 
 def test_build_source_state_two_photon_amplitudes():

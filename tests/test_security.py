@@ -12,7 +12,6 @@ from photonpad.security import (
     Classification,
     _classify,
     antisymmetric_identity_check,
-    haar_security_report,
     leakage,
     reproduce_appendix_a,
     reproduce_appendix_b,
@@ -102,14 +101,6 @@ def test_sign_balanced_paulis_secure_single_photon():
     rep = security_report(pauli8_ensemble(), 1)
     assert rep.classification is Classification.SECURE
     assert rep.worst_deviation < 1e-14
-
-
-def test_haar_reports_secure():
-    for n in range(5):
-        rep = haar_security_report(n)
-        assert rep.classification is Classification.SECURE
-        assert rep.worst_deviation < 1e-12
-        assert rep.ensemble_name == "haar"
 
 
 def test_report_tolerance_rescales_classification():
