@@ -46,21 +46,16 @@ def lifted_ensemble(ensemble: WeightedEnsemble, structure: SectorStructure) -> n
     return _block_lifts(ensemble.unitaries, structure)
 
 
-def _encrypt(lifted: np.ndarray, weights: np.ndarray, rho: np.ndarray, tol: float) -> np.ndarray:
+def _encrypt(lifted: np.ndarray, weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_j q_j L_j rho L_j^dag for a lifted ensemble of shape (size, D, D)."""
-    rho = check_density(rho, lifted.shape[-1], tol)
+    rho = check_density(rho, lifted.shape[-1])
     weighted = weights[:, None, None] * lifted
     return (weighted @ rho @ lifted.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
-def apply_channel(
-    ensemble: WeightedEnsemble,
-    structure: SectorStructure,
-    rho: np.ndarray,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def apply_channel(ensemble: WeightedEnsemble, structure: SectorStructure, rho: np.ndarray) -> np.ndarray:
     """Encrypt a density operator: sum_j q_j L(U_j) rho L(U_j)^dag."""
-    return _encrypt(lifted_ensemble(ensemble, structure), ensemble.weights, rho, tol)
+    return _encrypt(lifted_ensemble(ensemble, structure), ensemble.weights, rho)
 
 
 def choi_block(
@@ -110,18 +105,16 @@ def as_choi_operator(matrix: np.ndarray, structure: SectorStructure) -> dict:
     }
 
 
-def parity_dephase(rho: np.ndarray, structure: SectorStructure, tol: float = 1e-10) -> np.ndarray:
+def parity_dephase(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Remove coherence between even and odd photon-number sectors."""
-    rho = check_density(rho, structure.total_dim, tol)
+    rho = check_density(rho, structure.total_dim)
     even, odd = structure.parity_projectors()
     return even @ rho @ even + odd @ rho @ odd
 
 
-def photon_number_dephase(
-    rho: np.ndarray, structure: SectorStructure, tol: float = 1e-10
-) -> np.ndarray:
+def photon_number_dephase(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Remove all coherence between distinct photon-number sectors."""
-    rho = check_density(rho, structure.total_dim, tol)
+    rho = check_density(rho, structure.total_dim)
     out = np.zeros_like(rho)
     for n in range(structure.max_photons + 1):
         p = structure.projector(n)

@@ -31,7 +31,7 @@ import numpy as np
 from .channels import parity_dephase, photon_number_dephase
 from .designs import is_k_design, key_length, load_ensemble
 from .errors import ParseError, PhotonPadError
-from .fock import SourceSpec
+from .fock import SourceSpec, _json_pairs
 from .linalg import as_matrix
 from .security import (
     Classification,
@@ -45,6 +45,7 @@ from .su2 import lift_symmetric
 __all__ = ["main", "parse_complex"]
 
 MAX_PHOTON_BOUND = 8
+MAX_DESIGN_ORDER = 5  # k = 6 needs 4096 x 4096 moment operators
 
 _CLASSIFICATION_EXIT = {
     Classification.SECURE: 0,
@@ -75,17 +76,13 @@ def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> list[str]:
     return [indent + " ".join(_fmt_complex(z) for z in row) for row in np.asarray(mat)]
 
 
-def _to_pairs(mat: np.ndarray) -> list:
-    return [[[z.real, z.imag] for z in row] for row in mat]
-
-
 def _matrix_from_pairs(entries: list) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in entries])
 
 
-def _check_bounds(max_photons: int, minimum: int = 0) -> None:
-    if not minimum <= max_photons <= MAX_PHOTON_BOUND:
-        raise ParseError(f"max photons must be in [{minimum}, {MAX_PHOTON_BOUND}], got {max_photons}")
+def _check_bounds(flag: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ParseError(f"{flag} must be in [{lo}, {hi}], got {value}")
 
 
 def _check_tol(tol: float | None, default: float) -> float:
@@ -111,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design-check", parents=[common], help="k-design verification")
     p.add_argument("--ensemble", required=True, help="builtin name (pauli, clifford12) or JSON path")
-    p.add_argument("--k", type=int, required=True, help="design order to certify")
+    p.add_argument("--k", type=int, required=True, help=f"design order to certify, 1..{MAX_DESIGN_ORDER}")
 
     p = sub.add_parser("analyze", parents=[common], help="Choi-block security classification")
     p.add_argument("--ensemble", required=True)
@@ -144,8 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_design_check(args, tol: float) -> tuple[dict, int]:
-    if args.k < 1:
-        raise ParseError(f"--k must be >= 1, got {args.k}")
+    _check_bounds("--k", args.k, 1, MAX_DESIGN_ORDER)
     ensemble = load_ensemble(args.ensemble)
     checks = [is_k_design(ensemble, k, tol) for k in range(1, args.k + 1)]
     payload = {
@@ -179,7 +175,7 @@ def _render_design_check(payload: dict) -> str:
 
 
 def _cmd_analyze(args, tol: float) -> tuple[dict, int]:
-    _check_bounds(args.max_photons, minimum=1)
+    _check_bounds("--max-photons", args.max_photons, 1, MAX_PHOTON_BOUND)
     ensemble = load_ensemble(args.ensemble)
     report = security_report(ensemble, args.max_photons, tol)
     return report.to_json_dict(), _CLASSIFICATION_EXIT[report.classification]
@@ -247,7 +243,7 @@ def _render_reproduce_b(payload: dict) -> str:
 
 
 def _cmd_leakage(args, tol: float) -> tuple[dict, int]:
-    _check_bounds(args.max_photons, minimum=1)
+    _check_bounds("--max-photons", args.max_photons, 1, MAX_PHOTON_BOUND)
     ensemble = load_ensemble(args.ensemble)
     sources = []
     for path in (args.source_a, args.source_b):
@@ -285,13 +281,13 @@ def _render_leakage(payload: dict) -> str:
 
 def _cmd_haar(args, tol: float) -> tuple[dict, int]:
     """The Haar channel's Choi blocks in closed form: C_mn = delta_mn I / (n+1)."""
-    _check_bounds(args.max_photons)
+    _check_bounds("--max-photons", args.max_photons, 0, MAX_PHOTON_BOUND)
     sectors = range(args.max_photons + 1)
     blocks = [
         {
             "m": m,
             "n": n,
-            "matrix": _to_pairs(
+            "matrix": _json_pairs(
                 np.eye((n + 1) ** 2) / (n + 1) if m == n else np.zeros(((m + 1) ** 2, (n + 1) ** 2))
             ),
         }
@@ -310,8 +306,7 @@ def _render_haar(payload: dict) -> str:
 
 
 def _cmd_lift(args, tol: float) -> tuple[dict, int]:
-    if not 0 <= args.n <= MAX_PHOTON_BOUND:
-        raise ParseError(f"--n must be in [0, {MAX_PHOTON_BOUND}], got {args.n}")
+    _check_bounds("--n", args.n, 0, MAX_PHOTON_BOUND)
     parts = args.unitary.split(",")
     if len(parts) != 4:
         raise ParseError(f"--unitary needs 4 comma-separated entries, got {len(parts)}")
@@ -320,8 +315,8 @@ def _cmd_lift(args, tol: float) -> tuple[dict, int]:
     lifted = lift_symmetric(u, args.n, tol)
     payload = {
         "n": args.n,
-        "unitary": _to_pairs(u),
-        "matrix": _to_pairs(lifted),
+        "unitary": _json_pairs(u),
+        "matrix": _json_pairs(lifted),
     }
     return payload, 0
 

@@ -43,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitaryError, ParseError, QuadratureOrderError, WeightSumError
-from .fock import _is_int, _json_complex, _json_number
+from .errors import NotUnitaryError, ParseError, WeightSumError
+from .fock import _is_int, _json_complex, _json_number, _json_pairs
 from .linalg import frobenius
-from .su2 import HaarQuadrature, _check_qubit_unitaries, default_quadrature, haar_moment, tensor_power
+from .su2 import _check_qubit_unitaries, _moment, haar_moment
 
 __all__ = [
     "WeightedEnsemble",
@@ -152,33 +152,22 @@ def frame_potential(ensemble: WeightedEnsemble, k: int) -> float:
     return float(np.einsum("i,ij,j->", ws, powers, ws).real)
 
 
-def haar_frame_potential(k: int, quadrature: HaarQuadrature | None = None) -> float:
-    """Haar frame potential integral |tr(U)|^(2k) dU via exact quadrature.
+def haar_frame_potential(k: int) -> float:
+    """Haar frame potential integral |tr(U)|^(2k) dU for a qubit.
 
-    By invariance the double Haar average collapses to a single one. The
-    integrand has degree k in U and k in conj(U) in each of the two group
-    arguments, so a quadrature of order >= 2k is required. For a qubit the
-    value is the k-th Catalan number (1, 2, 5, 14, ...).
+    By invariance the double Haar average collapses to a single one, which
+    for a qubit is the k-th Catalan number C(2k, k)/(k+1) (1, 2, 5, 14, ...).
     """
     if not (_is_int(k) and k >= 1):
         raise ValueError(f"k must be a positive int, got {k!r}")
-    quad = quadrature if quadrature is not None else default_quadrature(2 * k)
-    if quad.order < 2 * k:
-        raise QuadratureOrderError(f"quadrature order {quad.order} < 2k = {2 * k}")
-    traces = np.einsum("iaa->i", quad.unitaries)
-    return float(np.dot(quad.weights, np.abs(traces) ** (2 * k)).real)
+    return float(math.comb(2 * k, k) // (k + 1))
 
 
 def ensemble_moment(ensemble: WeightedEnsemble, k: int) -> np.ndarray:
     """Ensemble moment operator M_k(e) = sum_j q_j U_j^(x k) (x) conj(U_j)^(x k)."""
     if not (_is_int(k) and k >= 1):
         raise ValueError(f"k must be a positive int, got {k!r}")
-    dim = 4**k
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for w, u in ensemble.items():
-        uk = tensor_power(u, k)
-        out += w * np.kron(uk, uk.conj())
-    return out
+    return _moment(ensemble.unitaries, ensemble.weights, k)
 
 
 @dataclass(frozen=True)
@@ -222,30 +211,20 @@ class DesignCheck:
         }
 
 
-def is_k_design(
-    ensemble: WeightedEnsemble,
-    k: int,
-    tol: float = 1e-9,
-    quadrature: HaarQuadrature | None = None,
-) -> DesignCheck:
+def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> DesignCheck:
     """Test whether an ensemble reproduces Haar moments at order k.
 
     Compares M_k(e) against the exact-quadrature Haar moment in Frobenius
     norm (primary verdict) and records the frame-potential gap alongside.
     A k-design is automatically a design at all lower orders, so checking
-    the target order suffices. A ``quadrature`` argument, if given, serves
-    both comparisons and therefore needs order >= 2k; by default each uses
-    its own minimal exact rule.
+    the target order suffices.
     """
-    moment_quad = quadrature if quadrature is not None else default_quadrature(int(k))
-    deviation = frobenius(ensemble_moment(ensemble, k) - haar_moment(k, moment_quad))
-    f = frame_potential(ensemble, k)
-    h = haar_frame_potential(k, quadrature)
+    deviation = frobenius(ensemble_moment(ensemble, k) - haar_moment(k))
     return DesignCheck(
         k=int(k),
         moment_deviation=float(deviation),
-        frame_potential=f,
-        haar_frame_potential=h,
+        frame_potential=frame_potential(ensemble, k),
+        haar_frame_potential=haar_frame_potential(k),
         tol=float(tol),
     )
 
@@ -268,7 +247,7 @@ def ensemble_to_json_dict(ensemble: WeightedEnsemble) -> dict:
     return {
         "name": ensemble.name,
         "elements": [
-            {"weight": float(w), "unitary": [[[z.real, z.imag] for z in row] for row in u]}
+            {"weight": float(w), "unitary": _json_pairs(u)}
             for w, u in ensemble.items()
         ],
     }

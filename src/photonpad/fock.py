@@ -68,6 +68,11 @@ def _json_complex(pair) -> complex:
     return complex(_json_number(pair[0]), _json_number(pair[1]))
 
 
+def _json_pairs(mat) -> list:
+    """A complex matrix as rows of [re, im] pairs, the inverse of ``_json_complex``."""
+    return [[[z.real, z.imag] for z in row] for row in mat]
+
+
 def _as_complex(value, what: str) -> complex:
     z = complex(value)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -135,13 +140,6 @@ class SectorStructure:
             s = self.sector_slice(n)
             target[s, s] = np.eye(n + 1)
         return even, odd
-
-    def sector_norms(self, vec: np.ndarray) -> np.ndarray:
-        """Euclidean norm of each sector component of a state vector."""
-        v = np.asarray(vec, dtype=np.complex128)
-        if v.shape != (self.total_dim,):
-            raise DimensionError(f"expected vector of length {self.total_dim}, got {v.shape}")
-        return np.array([np.linalg.norm(v[self.sector_slice(n)]) for n in range(self.max_photons + 1)])
 
 
 @dataclass(frozen=True)

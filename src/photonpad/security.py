@@ -41,7 +41,7 @@ import numpy as np
 from .channels import _encrypt, apply_channel, choi_block, lifted_ensemble
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
-from .fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
+from .fock import PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, build_source_state
 from .linalg import frobenius, trace_norm
 
 __all__ = [
@@ -89,6 +89,7 @@ class SecurityReport:
 
     @property
     def worst_block(self) -> tuple[int, int]:
+        """The block with the largest deviation; of an (m, n), (n, m) pair, the one with m < n."""
         m, n = np.unravel_index(int(np.argmax(self.deviations)), self.deviations.shape)
         return int(m), int(n)
 
@@ -123,17 +124,19 @@ def security_report(
 
     Block (m, n) is held against delta_mn I/(n+1): diagonal blocks must be
     maximally mixed, cross blocks must vanish. The resulting deviation
-    table drives the SECURE / PARITY_SECURE / INSECURE verdict.
+    table drives the SECURE / PARITY_SECURE / INSECURE verdict. Only the
+    blocks with m <= n are computed: C_nm = C_mn^dag, so the table is
+    symmetric by construction and ``worst_block`` is never decided by rounding.
     """
     structure = SectorStructure(max_photons)
     top = structure.max_photons
     deviations = np.zeros((top + 1, top + 1))
     for m in range(top + 1):
-        for n in range(top + 1):
+        for n in range(m, top + 1):
             block = choi_block(ensemble, m, n, structure)
             if m == n:
                 block = block - np.eye((n + 1) ** 2) / (n + 1)
-            deviations[m, n] = frobenius(block)
+            deviations[m, n] = deviations[n, m] = frobenius(block)
     deviations.setflags(write=False)
     return SecurityReport(
         ensemble_name=ensemble.name or "ensemble",
@@ -150,7 +153,6 @@ def leakage(
     source_b: SourceSpec,
     max_photons: int,
     pre_channel=None,
-    tol: float = 1e-10,
 ) -> float:
     """Trace distance between the encrypted outputs of two sources.
 
@@ -167,7 +169,7 @@ def leakage(
         rho = np.outer(vec, vec.conj())
         if pre_channel is not None:
             rho = pre_channel(rho, structure)
-        outputs.append(_encrypt(lifted, ensemble.weights, rho, tol))
+        outputs.append(_encrypt(lifted, ensemble.weights, rho))
     return 0.5 * trace_norm(outputs[0] - outputs[1])
 
 
@@ -233,8 +235,8 @@ class AppendixAResult:
             "nonzero": self.nonzero,
             "tol": self.tol,
             "passed": self.passed,
-            "computed": [[[z.real, z.imag] for z in row] for row in self.computed],
-            "reference": [[[z.real, z.imag] for z in row] for row in self.reference],
+            "computed": _json_pairs(self.computed),
+            "reference": _json_pairs(self.reference),
         }
 
 
@@ -276,8 +278,8 @@ class AppendixBResult:
             "deviation": self.deviation,
             "tol": self.tol,
             "passed": self.passed,
-            "output": [[[z.real, z.imag] for z in row] for row in self.output],
-            "reference": [[[z.real, z.imag] for z in row] for row in self.reference],
+            "output": _json_pairs(self.output),
+            "reference": _json_pairs(self.reference),
         }
 
 

@@ -40,6 +40,9 @@ trigonometric polynomials of degree <= 2k in phi and psi, handled exactly
 by uniform (trapezoidal) grids with at least 2k+1 points, and after the
 substitution u = cos(2 theta) the surviving theta dependence is a
 polynomial of degree <= k in u, handled exactly by Gauss-Legendre nodes.
+
+Density operators are checked (Hermiticity, unit trace, no negative
+eigenvalue) at the fixed tolerance ``DENSITY_TOL``.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ __all__ = [
     "haar_choi",
     "check_density",
 ]
+
+DENSITY_TOL = 1e-10
 
 
 def _check_qubit_unitaries(us: np.ndarray, tol: float) -> np.ndarray:
@@ -136,9 +141,9 @@ def lift_symmetric(u: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarray:
     return sector_lifts(np.asarray(u, dtype=np.complex128)[None], n, tol)[n][0]
 
 
-def _block_lifts(unitaries: np.ndarray, structure: SectorStructure, tol: float = 1e-10) -> np.ndarray:
+def _block_lifts(unitaries: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Direct sums L(U_j) on K(N) for a stack of unitaries, shape (m, D, D)."""
-    lifts = sector_lifts(unitaries, structure.max_photons, tol)
+    lifts = sector_lifts(unitaries, structure.max_photons)
     out = np.zeros((lifts[0].shape[0], structure.total_dim, structure.total_dim), dtype=np.complex128)
     for n, lifted in enumerate(lifts):
         s = structure.sector_slice(n)
@@ -146,9 +151,9 @@ def _block_lifts(unitaries: np.ndarray, structure: SectorStructure, tol: float =
     return out
 
 
-def block_lift(u: np.ndarray, structure: SectorStructure, tol: float = 1e-10) -> np.ndarray:
+def block_lift(u: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Direct sum of sector lifts: L(U) = L_0(U) (+) ... (+) L_N(U) on K(N)."""
-    return _block_lifts(np.asarray(u, dtype=np.complex128)[None], structure, tol)[0]
+    return _block_lifts(np.asarray(u, dtype=np.complex128)[None], structure)[0]
 
 
 def multiplicity(k: int, s) -> int:
@@ -180,36 +185,22 @@ def multiplicity(k: int, s) -> int:
 class HaarQuadrature:
     """Product quadrature rule exact for balanced Haar moments up to ``order``.
 
-    ``angular_nodes`` uniform points in each of phi and psi (default 2*order+1,
-    the minimum for exactness) and ``radial_nodes`` Gauss-Legendre points in
-    u = cos(2 theta) (default order+1). Any integrand that is a polynomial of
-    degree <= order in the entries of U and degree <= order in their
-    conjugates is integrated with zero quadrature error.
+    2*order+1 uniform points in each of phi and psi and order+1
+    Gauss-Legendre points in u = cos(2 theta), the fewest that are exact:
+    any integrand that is a polynomial of degree <= order in the entries of
+    U and degree <= order in their conjugates is integrated with zero
+    quadrature error.
     """
 
     order: int
-    angular_nodes: int = 0
-    radial_nodes: int = 0
 
     def __post_init__(self):
         if not (_is_int(self.order) and self.order >= 1):
             raise QuadratureOrderError(f"order must be a positive int, got {self.order!r}")
-        if self.angular_nodes == 0:
-            object.__setattr__(self, "angular_nodes", 2 * self.order + 1)
-        if self.radial_nodes == 0:
-            object.__setattr__(self, "radial_nodes", self.order + 1)
-        if self.angular_nodes < 2 * self.order + 1:
-            raise QuadratureOrderError(
-                f"{self.angular_nodes} angular nodes cannot integrate order {self.order} exactly"
-            )
-        if 2 * self.radial_nodes - 1 < self.order:
-            raise QuadratureOrderError(
-                f"{self.radial_nodes} radial nodes cannot integrate order {self.order} exactly"
-            )
 
     @cached_property
     def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        m, g = self.angular_nodes, self.radial_nodes
+        m, g = 2 * self.order + 1, self.order + 1
         phi = 2.0 * np.pi * np.arange(m) / m
         u, w = np.polynomial.legendre.leggauss(g)
         cos_t = np.sqrt((1.0 + u) / 2.0)
@@ -243,7 +234,7 @@ class HaarQuadrature:
 
     @property
     def node_count(self) -> int:
-        return self.angular_nodes**2 * self.radial_nodes
+        return (2 * self.order + 1) ** 2 * (self.order + 1)
 
     def average(self, f) -> np.ndarray:
         """Haar average of a matrix-valued function of U."""
@@ -260,43 +251,46 @@ def default_quadrature(order: int) -> HaarQuadrature:
     return HaarQuadrature(order)
 
 
-def haar_moment(k: int, quadrature: HaarQuadrature | None = None) -> np.ndarray:
-    """Haar moment operator M_k = integral of U^(x k) (x) conj(U)^(x k) dU.
-
-    A 4^k x 4^k Hermitian idempotent (the projector onto operators commuting
-    with the diagonal k-fold action). Requires ``quadrature.order >= k``.
-    """
-    if not (_is_int(k) and k >= 1):
-        raise QuadratureOrderError(f"moment order k must be a positive int, got {k!r}")
-    quad = quadrature if quadrature is not None else default_quadrature(k)
-    if quad.order < k:
-        raise QuadratureOrderError(f"quadrature order {quad.order} < moment order {k}")
+def _moment(unitaries: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """sum_j w_j U_j^(x k) (x) conj(U_j)^(x k), a 4^k x 4^k matrix."""
     dim = 4**k
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for u, w in zip(quad.unitaries, quad.weights):
+    for u, w in zip(unitaries, weights):
         uk = tensor_power(u, k)
         out += w * np.kron(uk, uk.conj())
     return out
 
 
-def check_density(rho: np.ndarray, dim: int, tol: float = 1e-10) -> np.ndarray:
-    """Validate a density operator of the given dimension and return it."""
+def haar_moment(k: int) -> np.ndarray:
+    """Haar moment operator M_k = integral of U^(x k) (x) conj(U)^(x k) dU.
+
+    A 4^k x 4^k Hermitian idempotent (the projector onto operators commuting
+    with the diagonal k-fold action), integrated by the order-k quadrature.
+    """
+    if not (_is_int(k) and k >= 1):
+        raise QuadratureOrderError(f"moment order k must be a positive int, got {k!r}")
+    quad = default_quadrature(k)
+    return _moment(quad.unitaries, quad.weights, k)
+
+
+def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
+    """Validate a density operator of the given dimension (at ``DENSITY_TOL``) and return it."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (dim, dim):
         raise NotDensityOperatorError(f"expected shape {(dim, dim)}, got {rho.shape}")
     if not np.all(np.isfinite(rho.view(np.float64))):
         raise NotDensityOperatorError("density operator contains non-finite entries")
-    if not is_hermitian(rho, tol):
+    if not is_hermitian(rho, DENSITY_TOL):
         raise NotDensityOperatorError("density operator is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
         raise NotDensityOperatorError(f"trace {np.trace(rho)!r} is not 1 within tolerance")
     w = np.linalg.eigvalsh(rho)
-    if w.min() < -tol:
+    if w.min() < -DENSITY_TOL:
         raise NotDensityOperatorError(f"negative eigenvalue {w.min():.3e}")
     return rho
 
 
-def haar_channel_apply(rho: np.ndarray, structure: SectorStructure, tol: float = 1e-10) -> np.ndarray:
+def haar_channel_apply(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Closed-form Haar-averaged encryption of a state on K(N).
 
     Averaging L(U) rho L(U)^dag over Haar-random U gives
@@ -307,7 +301,7 @@ def haar_channel_apply(rho: np.ndarray, structure: SectorStructure, tol: float =
     sector population, and all coherence between different photon numbers
     is erased.
     """
-    rho = check_density(rho, structure.total_dim, tol)
+    rho = check_density(rho, structure.total_dim)
     out = np.zeros_like(rho)
     for n in range(structure.max_photons + 1):
         s = structure.sector_slice(n)

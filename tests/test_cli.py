@@ -256,6 +256,14 @@ def test_photon_bound_enforced(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("k", ["0", "6", "8"])
+def test_design_order_bound_enforced(capsys, k):
+    code, out, err = run(capsys, "design-check", "--ensemble", "pauli", "--k", k)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --k must be in [1, 5], got {k}\n"
+
+
 def test_unknown_ensemble_fails_cleanly(capsys):
     code, out, err = run(capsys, "analyze", "--ensemble", "mystery", "--max-photons", "1")
     assert code == 1

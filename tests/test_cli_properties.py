@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonpad.cli import MAX_PHOTON_BOUND, main, parse_complex
+from photonpad.cli import MAX_DESIGN_ORDER, MAX_PHOTON_BOUND, main, parse_complex
 from photonpad.designs import ensemble_to_json_dict, pauli_ensemble
 
 EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -175,9 +175,10 @@ def command_cases(source):
     c = COMPLEX.filter(lambda z: abs(z) > 1 + 1e-9).map(literal) | NOT_COMPLEX
     alpha = COMPLEX.filter(lambda z: abs(abs(z) - 1) > 1e-6).map(literal) | NOT_COMPLEX
     dephase = TEXT.filter(lambda t: t not in ("none", "parity", "photon-number"))
+    design_orders = (st.integers(max_value=0) | st.integers(min_value=MAX_DESIGN_ORDER + 1)).map(str) | NOT_INT
     return {
         "design-check": (["design-check"], {
-            "--ensemble": ensemble, "--k": ("1", st.integers(max_value=0).map(str) | NOT_INT)}),
+            "--ensemble": ensemble, "--k": ("1", design_orders)}),
         "analyze": (["analyze"], {"--ensemble": ensemble, "--max-photons": ("2", photons(1))}),
         "appendix-a": (["reproduce", "appendix-a"], {}),
         "appendix-b": (["reproduce", "appendix-b"], {

@@ -20,8 +20,8 @@ from photonpad.designs import (
     pauli_ensemble,
     save_ensemble,
 )
-from photonpad.errors import NotUnitaryError, ParseError, QuadratureOrderError, WeightSumError
-from photonpad.su2 import default_quadrature, haar_moment
+from photonpad.errors import NotUnitaryError, ParseError, WeightSumError
+from photonpad.su2 import HaarQuadrature, haar_moment
 
 from conftest import random_unitary
 
@@ -92,15 +92,20 @@ def test_frame_potentials_frozen_values():
         assert np.isclose(frame_potential(cl, k), expected, atol=1e-10)
 
 
+CATALAN = [(1, 1.0), (2, 2.0), (3, 5.0), (4, 14.0), (5, 42.0)]
+
+
 def test_haar_frame_potential_catalan_numbers():
-    for k, catalan in [(1, 1.0), (2, 2.0), (3, 5.0), (4, 14.0)]:
-        assert np.isclose(haar_frame_potential(k), catalan, atol=1e-10)
+    for k, catalan in CATALAN:
+        assert haar_frame_potential(k) == catalan
 
 
-def test_haar_frame_potential_needs_order_2k():
-    with pytest.raises(QuadratureOrderError):
-        haar_frame_potential(3, default_quadrature(4))
-    assert np.isclose(haar_frame_potential(3, default_quadrature(6)), 5.0, atol=1e-10)
+def test_quadrature_reproduces_catalan_numbers():
+    # Independent oracle: |tr U|^(2k) has degree 2k in U and in conj(U) once
+    # the double Haar average is collapsed, so the order-2k rule is exact.
+    for k, catalan in CATALAN:
+        value = HaarQuadrature(2 * k).average(lambda u: abs(np.trace(u)) ** (2 * k))
+        assert abs(value - catalan) <= 1e-10
 
 
 def test_pauli_first_moment_matches_haar():

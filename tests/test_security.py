@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from photonpad.channels import parity_dephase
+from photonpad.channels import choi_block, parity_dephase
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
 from photonpad.errors import DimensionError, NormalizationError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec
@@ -18,7 +18,7 @@ from photonpad.security import (
     security_report,
 )
 
-from conftest import random_state
+from conftest import random_state, random_unitary
 
 
 def pauli8_ensemble():
@@ -101,6 +101,25 @@ def test_sign_balanced_paulis_secure_single_photon():
     rep = security_report(pauli8_ensemble(), 1)
     assert rep.classification is Classification.SECURE
     assert rep.worst_deviation < 1e-14
+
+
+@pytest.mark.parametrize("size", [2, 5, 9])
+def test_deviation_table_is_exactly_symmetric(rng, size):
+    weights = rng.random(size) + 0.1
+    e = WeightedEnsemble([random_unitary(rng) for _ in range(size)], weights / weights.sum())
+    rep = security_report(e, 4)
+    assert np.array_equal(rep.deviations, rep.deviations.T)
+    # the mirrored entries are the norms of the blocks that were not computed: C_nm = C_mn^dag
+    for m in range(5):
+        for n in range(m):
+            assert abs(rep.deviation(m, n) - np.linalg.norm(choi_block(e, m, n))) <= 1e-13
+
+
+def test_worst_block_is_not_decided_by_rounding():
+    # (7, 8) and (8, 7) deviate equally in exact arithmetic; the upper-triangle block is reported
+    rep = security_report(clifford12_ensemble(), 8)
+    assert rep.worst_block == (7, 8)
+    assert rep.deviation(7, 8) == rep.deviation(8, 7) == rep.worst_deviation
 
 
 def test_report_tolerance_rescales_classification():

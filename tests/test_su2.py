@@ -205,10 +205,6 @@ def test_quadrature_nodes_are_unitary_and_weights_normalized():
 def test_quadrature_order_guards():
     with pytest.raises(QuadratureOrderError):
         HaarQuadrature(0)
-    with pytest.raises(QuadratureOrderError):
-        HaarQuadrature(2, angular_nodes=3)
-    with pytest.raises(QuadratureOrderError):
-        HaarQuadrature(2, radial_nodes=1)
 
 
 def test_haar_moment_first_order():
@@ -226,15 +222,13 @@ def test_haar_moment_is_projector():
     assert np.isclose(np.trace(m).real, 2.0, atol=1e-10)  # rank = permutation count
 
 
-def test_haar_moment_requires_sufficient_order():
-    with pytest.raises(QuadratureOrderError):
-        haar_moment(3, default_quadrature(2))
+def test_haar_moment_matches_higher_order_rule():
+    def second_moment(u):
+        uu = np.kron(u, u)
+        return np.kron(uu, uu.conj())
 
-
-def test_haar_moment_stable_under_node_doubling():
-    base = haar_moment(2, default_quadrature(2))
-    fine = haar_moment(2, HaarQuadrature(2, angular_nodes=11, radial_nodes=7))
-    assert np.abs(base - fine).max() < 1e-12
+    fine = HaarQuadrature(4).average(second_moment)
+    assert np.abs(haar_moment(2) - fine).max() <= 1e-13
 
 
 def test_quadrature_averages_odd_moment_to_zero():
