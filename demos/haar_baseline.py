@@ -17,7 +17,6 @@ from photonpad import (
     as_choi_operator,
     block_lift,
     build_source_state,
-    dagger,
     default_quadrature,
     haar_channel_apply,
     haar_choi,
@@ -42,7 +41,7 @@ def main():
     print()
 
     quad = default_quadrature(2)
-    integrated = quad.average(lambda u: block_lift(u, s) @ rho @ dagger(block_lift(u, s)))
+    integrated = quad.average(lambda u: block_lift(u, s) @ rho @ block_lift(u, s).conj().T)
     print(f"quadrature with {quad.node_count} nodes reproduces it to "
           f"{np.abs(integrated - out).max():.3e}")
     print()

@@ -5,8 +5,8 @@ light pulse; the pulse may contain a superposition of photon numbers. A
 qubit unitary drawn from a keyed ensemble acts on every photon at once,
 i.e. through its symmetric lift on each photon-number sector. This package
 computes those lifts, the resulting encryption channels and their
-sector-pair Choi blocks, certifies unitary k-designs against a numerically
-exact Haar quadrature, and classifies schemes as SECURE, PARITY_SECURE, or
+sector-pair Choi blocks, certifies unitary k-designs from the spin blocks
+of one lift sweep, and classifies schemes as SECURE, PARITY_SECURE, or
 INSECURE depending on which Choi blocks match the Haar channel.
 """
 
@@ -30,7 +30,6 @@ from .designs import (
     key_length,
     load_ensemble,
     pauli_ensemble,
-    save_ensemble,
 )
 from .errors import (
     DimensionError,
@@ -51,12 +50,11 @@ from .fock import (
     build_source_state,
     symmetric_embedding,
 )
-from .linalg import dagger, frobenius, trace_norm
+from .linalg import frobenius, trace_norm
 from .security import (
     AppendixAReference,
     Classification,
     SecurityReport,
-    antisymmetric_identity_check,
     leakage,
     reproduce_appendix_a,
     reproduce_appendix_b,
@@ -87,7 +85,6 @@ __all__ = [
     "QuadratureOrderError",
     "ParseError",
     "WeightSumError",
-    "dagger",
     "frobenius",
     "trace_norm",
     "SectorStructure",
@@ -114,7 +111,6 @@ __all__ = [
     "ensemble_moment",
     "is_k_design",
     "key_length",
-    "save_ensemble",
     "load_ensemble",
     "lifted_ensemble",
     "apply_channel",
@@ -129,6 +125,5 @@ __all__ = [
     "AppendixAReference",
     "reproduce_appendix_a",
     "reproduce_appendix_b",
-    "antisymmetric_identity_check",
     "__version__",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -45,7 +44,8 @@ from .su2 import lift_symmetric
 __all__ = ["main", "parse_complex"]
 
 MAX_PHOTON_BOUND = 8
-MAX_DESIGN_ORDER = 5  # k = 6 needs 4096 x 4096 moment operators
+MAX_DESIGN_ORDER = 5
+MAX_TOL = 1e-3
 
 _CLASSIFICATION_EXIT = {
     Classification.SECURE: 0,
@@ -86,10 +86,14 @@ def _check_bounds(flag: str, value: int, lo: int, hi: int) -> None:
 
 
 def _check_tol(tol: float | None, default: float) -> float:
-    """The --tol value, or ``default`` when it is absent; it must be finite and positive."""
+    """The --tol value, or ``default`` when it is absent; it must lie in (0, MAX_TOL].
+
+    A larger tolerance would pass deviations of order one, so a verdict at it
+    says nothing: pauli's (2,2) block deviates by sqrt(2).
+    """
     tol = default if tol is None else tol
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParseError(f"tolerance must be finite and positive, got {tol}")
+    if not 0 < tol <= MAX_TOL:  # NaN fails both comparisons
+        raise ParseError(f"tolerance must be in (0, {MAX_TOL:g}], got {tol}")
     return tol
 
 
@@ -101,7 +105,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="photonpad", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="numerical tolerance")
+    common.add_argument("--tol", type=float, default=None, help=f"numerical tolerance, in (0, {MAX_TOL:g}]")
     common.add_argument("--out", default=None, help="write the payload to this file instead of stdout")
     common.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -14,7 +14,6 @@ from .errors import DimensionError
 
 __all__ = [
     "as_matrix",
-    "dagger",
     "frobenius",
     "trace_norm",
     "is_hermitian",
@@ -31,11 +30,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=np.complex128).conj().T
-
-
 def frobenius(a: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(a)))
@@ -43,7 +37,7 @@ def frobenius(a: np.ndarray) -> float:
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     a = np.asarray(a, dtype=np.complex128)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and frobenius(a - dagger(a)) <= tol
+    return a.ndim == 2 and a.shape[0] == a.shape[1] and frobenius(a - a.conj().T) <= tol
 
 
 def trace_norm(a: np.ndarray) -> float:

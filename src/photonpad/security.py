@@ -54,7 +54,6 @@ __all__ = [
     "reproduce_appendix_a",
     "AppendixBResult",
     "reproduce_appendix_b",
-    "antisymmetric_identity_check",
 ]
 
 
@@ -316,20 +315,3 @@ def reproduce_appendix_b(
         tol=float(tol),
     )
 
-
-def antisymmetric_identity_check() -> float:
-    """Deviation of the plain mean of tensor squares from the singlet projector.
-
-    For the twelve-rotation ensemble (with its rotation phases), the
-    unconjugated average (1/12) sum_j U_j (x) U_j equals the projector onto
-    the two-qubit antisymmetric (singlet) state; the returned Frobenius
-    deviation should be at roundoff. This identity is phase-sensitive:
-    unlike twirls, it would fail under a different choice of element phases.
-    """
-    ensemble = clifford12_ensemble()
-    acc = np.zeros((4, 4), dtype=np.complex128)
-    for w, u in ensemble.items():
-        acc += w * np.kron(u, u)
-    singlet_vec = np.array([0.0, 1.0, -1.0, 0.0], dtype=np.complex128) / math.sqrt(2.0)
-    singlet = np.outer(singlet_vec, singlet_vec.conj())
-    return frobenius(acc - singlet)

@@ -18,28 +18,24 @@ stack of unitaries at once. Every step compresses a unitary through an
 isometry, so rounding error grows about linearly in n. ``lift_symmetric``
 and ``block_lift`` take their sectors from this sweep.
 
-Haar averages over U(2) are computed two independent ways:
+Haar averages over U(2) come in two independent forms:
 
 * closed form: averaging L(U) rho L(U)^dag over Haar-random U projects each
   sector onto its maximally mixed state and erases all cross-sector blocks
   (``haar_channel_apply``, ``haar_choi``);
-* numerically exact quadrature: ``HaarQuadrature`` integrates any moment of
-  degree <= order in U and in conj(U) with zero quadrature error, using the
-  Hopf-coordinate form of the Haar measure (see below), so Haar moment
-  operators come out at machine precision without sampling.
+* exact quadrature: ``HaarQuadrature`` integrates any moment of degree
+  <= order in U and in conj(U) with zero quadrature error, and
+  ``haar_moment`` builds the dense 4^k x 4^k Haar moment operator from it.
+  Both serve only as oracles: ``designs.is_k_design`` decides from spin blocks
+  of ``sector_lifts`` and never calls them.
 
-Quadrature construction: parameterize
-
-    U = [[e^{i phi} cos(theta), e^{i psi} sin(theta)],
-         [-e^{-i psi} sin(theta), e^{-i phi} cos(theta)]],
-
-with phi, psi in [0, 2pi) and theta in [0, pi/2]; the normalized Haar
-measure is sin(theta) cos(theta) dtheta dphi dpsi / (2 pi^2). Balanced
-monomials of degree k in U entries and k in their conjugates are
-trigonometric polynomials of degree <= 2k in phi and psi, handled exactly
-by uniform (trapezoidal) grids with at least 2k+1 points, and after the
-substitution u = cos(2 theta) the surviving theta dependence is a
-polynomial of degree <= k in u, handled exactly by Gauss-Legendre nodes.
+Quadrature construction: write U = [[e^{i phi} cos t, e^{i psi} sin t],
+[-e^{-i psi} sin t, e^{-i phi} cos t]] with phi, psi in [0, 2pi) and t in
+[0, pi/2]; the Haar measure is sin t cos t dt dphi dpsi / (2 pi^2).
+A monomial of degree k in U and k in conj(U) is a trigonometric
+polynomial of degree <= 2k in phi and psi, exact on uniform grids of 2k+1
+points, and a polynomial of degree <= k in u = cos(2t), exact on k+1
+Gauss-Legendre nodes.
 
 Density operators are checked (Hermiticity, unit trace, no negative
 eigenvalue) at the fixed tolerance ``DENSITY_TOL``.

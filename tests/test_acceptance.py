@@ -18,18 +18,17 @@ from photonpad.designs import (
     pauli_ensemble,
 )
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
-from photonpad.linalg import dagger, trace_norm
+from photonpad.linalg import trace_norm
 from photonpad.security import (
     AppendixAReference,
     Classification,
-    antisymmetric_identity_check,
     leakage,
     reproduce_appendix_b,
     security_report,
 )
 from photonpad.su2 import block_lift, default_quadrature, haar_channel_apply, haar_choi, lift_symmetric, multiplicity
 
-from conftest import random_density, random_state, random_unitary
+from conftest import antisymmetric_identity_check, random_density, random_state, random_unitary
 
 
 def _require(failures, condition, message):
@@ -65,7 +64,7 @@ def test_haar_oracle_consistency(rng):
     quad = default_quadrature(3)
 
     def twirl(rho):
-        return quad.average(lambda u: block_lift(u, s) @ rho @ dagger(block_lift(u, s)))
+        return quad.average(lambda u: block_lift(u, s) @ rho @ block_lift(u, s).conj().T)
 
     for _ in range(10):
         rho = random_density(rng, s.total_dim)
@@ -301,7 +300,7 @@ def test_representation_properties(rng):
         w = unitaries[(i + 1) % len(unitaries)]
         for n in range(6):
             lifted = lift_symmetric(u, n)
-            assert np.abs(dagger(lifted) @ lifted - np.eye(n + 1)).max() <= 1e-12
+            assert np.abs(lifted.conj().T @ lifted - np.eye(n + 1)).max() <= 1e-12
             assert np.abs(lifted - closed_form_lift(u, n)).max() <= 1e-12
             product = lift_symmetric(u @ w, n)
             assert np.abs(product - lifted @ lift_symmetric(w, n)).max() <= 1e-12

@@ -277,19 +277,19 @@ def test_bad_tol_rejected(capsys):
     assert "error" in err
 
 
+EVERY_COMMAND = [
+    ["design-check", "--ensemble", "pauli", "--k", "1"],
+    ["analyze", "--ensemble", "pauli", "--max-photons", "2"],
+    ["reproduce", "appendix-a"],
+    ["reproduce", "appendix-b", "--c", "0.6", "--alpha", "1", "--beta", "0"],
+    ["leakage", "--ensemble", "pauli", "--max-photons", "1", "a.json", "b.json"],
+    ["haar", "--max-photons", "1"],
+    ["lift", "--n", "1", "--unitary", "0,1,1,0"],
+]
+
+
 @pytest.mark.parametrize("tol", ["inf", "nan"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["design-check", "--ensemble", "pauli", "--k", "1"],
-        ["analyze", "--ensemble", "pauli", "--max-photons", "2"],
-        ["reproduce", "appendix-a"],
-        ["reproduce", "appendix-b", "--c", "0.6", "--alpha", "1", "--beta", "0"],
-        ["leakage", "--ensemble", "pauli", "--max-photons", "1", "a.json", "b.json"],
-        ["haar", "--max-photons", "1"],
-        ["lift", "--n", "1", "--unitary", "0,1,1,0"],
-    ],
-)
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_non_finite_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     monkeypatch.chdir(tmp_path)
     write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 1.0))
@@ -298,6 +298,26 @@ def test_non_finite_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: tolerance")
+
+
+@pytest.mark.parametrize("tol", ["1e300", "0.5"])
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_vacuous_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
+    # A tolerance above 1e-3 would pass order-one deviations: pauli's (2,2)
+    # block deviates by sqrt(2) and its k = 3 moments by sqrt(11).
+    monkeypatch.chdir(tmp_path)
+    write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 1.0))
+    write_source(tmp_path, "b.json", 0.0, 1.0, (0.0, 1.0))
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: tolerance")
+
+
+def test_largest_tol_accepted(capsys):
+    code, out, _ = run(capsys, "analyze", "--ensemble", "clifford12", "--max-photons", "2", "--tol", "1e-3")
+    assert code == 3
+    assert json.loads(out)["tol"] == 1e-3
 
 
 def assert_fails_closed(capsys, *argv):

@@ -143,7 +143,8 @@ def literal(z):
 NOT_FLOAT = TEXT.filter(lambda t: rejects(float, t))
 NOT_INT = TEXT.filter(lambda t: rejects(int, t))
 NOT_COMPLEX = TEXT.filter(lambda t: rejects(parse_complex, t))
-TOL = st.floats(max_value=0).map(repr) | st.sampled_from(["nan", "inf", "-inf", "1e400"]) | NOT_FLOAT
+TOL = (st.floats(max_value=0) | st.floats(min_value=1e-3, exclude_min=True)).map(repr) \
+    | st.sampled_from(["nan", "inf", "-inf", "1e400", "0.5", "1e300"]) | NOT_FLOAT
 COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e300)
 REQUIRED = {"--ensemble", "--k", "--c", "--alpha", "--beta", "--n", "--unitary"}
 

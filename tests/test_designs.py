@@ -18,9 +18,9 @@ from photonpad.designs import (
     key_length,
     load_ensemble,
     pauli_ensemble,
-    save_ensemble,
 )
 from photonpad.errors import NotUnitaryError, ParseError, WeightSumError
+from photonpad.linalg import frobenius
 from photonpad.su2 import HaarQuadrature, haar_moment
 
 from conftest import random_unitary
@@ -136,6 +136,49 @@ def test_moment_deviation_squared_equals_frame_gap():
             assert check.passed == check.frame_passed
 
 
+def _random_ensemble(rng, size):
+    """Random U(2) elements (det != 1) with non-uniform weights."""
+    weights = rng.random(size) + 0.1
+    return WeightedEnsemble([random_unitary(rng) for _ in range(size)], weights / weights.sum())
+
+
+def test_spin_block_deviation_matches_dense_moments(rng):
+    # Oracle: the 4^k x 4^k moment operators, against the spin-block sum of is_k_design.
+    ensembles = [pauli_ensemble(), clifford12_ensemble()] + [_random_ensemble(rng, s) for s in (1, 3, 24)]
+    assert any(abs(np.linalg.det(u) - 1) > 0.1 for u in ensembles[-1].unitaries)
+    for k in (1, 2, 3, 4):
+        haar = haar_moment(k)
+        for e in ensembles:
+            dense = frobenius(ensemble_moment(e, k) - haar)
+            assert abs(is_k_design(e, k).moment_deviation - dense) <= 1e-13 * max(1.0, dense)
+
+
+def test_quadrature_nodes_with_random_phases_are_designs(rng):
+    # HaarQuadrature(K) is exact to order K, and a global phase per element
+    # cancels in U (x) conj(U), so the rotated nodes are still a K-design;
+    # the phases make det != 1, which only the det twist gets right.
+    for order in (1, 2, 3, 4, 5):
+        quad = HaarQuadrature(order)
+        phases = np.exp(2j * np.pi * rng.random(quad.node_count))
+        nodes = WeightedEnsemble(phases[:, None, None] * quad.unitaries, quad.weights)
+        assert is_k_design(nodes, order).moment_deviation <= 1e-12
+
+
+def test_order_one_rule_fails_at_third_moment():
+    rule = HaarQuadrature(1)
+    check = is_k_design(WeightedEnsemble(rule.unitaries, rule.weights), 3)
+    assert not check.passed
+    assert abs(check.moment_deviation - 0.7876) < 1e-4
+    assert abs(check.frame_gap - 0.6204) < 1e-4
+    assert abs(check.moment_deviation**2 - check.frame_gap) <= 1e-12
+
+
+def test_bad_design_order_raises_value_error():
+    for k in (0, -1, 2.0, True, None):
+        with pytest.raises(ValueError):
+            is_k_design(pauli_ensemble(), k)
+
+
 def test_design_check_json_fields():
     d = is_k_design(pauli_ensemble(), 2).to_json_dict()
     for key in ("k", "moment_deviation", "frame_potential", "haar_frame_potential", "passed"):
@@ -203,7 +246,7 @@ def test_json_schema_shape():
 
 def test_save_and_load(tmp_path):
     path = tmp_path / "ensemble.json"
-    save_ensemble(pauli_ensemble(), path)
+    path.write_text(json.dumps(ensemble_to_json_dict(pauli_ensemble())))
     again = load_ensemble(path)
     assert np.array_equal(again.unitaries, pauli_ensemble().unitaries)
 

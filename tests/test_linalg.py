@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from photonpad.errors import DimensionError
-from photonpad.linalg import as_matrix, dagger, frobenius, is_hermitian, trace_norm
+from photonpad.linalg import as_matrix, frobenius, is_hermitian, trace_norm
 
 from conftest import random_density
-
-
-def test_dagger():
-    a = np.array([[1.0, 2j], [3.0, 4.0 - 1j]])
-    assert np.array_equal(dagger(a), a.conj().T)
 
 
 def test_frobenius_matches_norm():
@@ -29,7 +24,7 @@ def test_as_matrix_rejects_nonfinite():
 
 def test_trace_norm_hermitian_is_abs_eigenvalue_sum(rng):
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    h = a + dagger(a)
+    h = a + a.conj().T
     expected = np.abs(np.linalg.eigvalsh(h)).sum()
     assert np.isclose(trace_norm(h), expected, atol=1e-12)
 
@@ -38,7 +33,7 @@ def test_trace_norm_general_matches_gram_route(rng):
     # sqrt-of-gram eigenvalues is a less accurate but independent formula
     for _ in range(5):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        gram = np.sqrt(np.clip(np.linalg.eigvalsh(dagger(a) @ a), 0.0, None)).sum()
+        gram = np.sqrt(np.clip(np.linalg.eigvalsh(a.conj().T @ a), 0.0, None)).sum()
         assert np.isclose(trace_norm(a), gram, atol=1e-8)
 
 

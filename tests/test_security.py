@@ -11,14 +11,13 @@ from photonpad.security import (
     AppendixAReference,
     Classification,
     _classify,
-    antisymmetric_identity_check,
     leakage,
     reproduce_appendix_a,
     reproduce_appendix_b,
     security_report,
 )
 
-from conftest import random_state, random_unitary
+from conftest import antisymmetric_identity_check, random_state, random_unitary
 
 
 def pauli8_ensemble():
