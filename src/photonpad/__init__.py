@@ -14,7 +14,6 @@ from .channels import (
     apply_channel,
     as_choi_operator,
     choi_block,
-    lifted_ensemble,
     parity_dephase,
     photon_number_dephase,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "is_k_design",
     "key_length",
     "load_ensemble",
-    "lifted_ensemble",
     "apply_channel",
     "choi_block",
     "as_choi_operator",

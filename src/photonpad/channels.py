@@ -32,7 +32,6 @@ from .fock import SectorStructure, _is_int
 from .su2 import _block_lifts, check_density, sector_lifts
 
 __all__ = [
-    "lifted_ensemble",
     "apply_channel",
     "choi_block",
     "as_choi_operator",
@@ -41,41 +40,31 @@ __all__ = [
 ]
 
 
-def lifted_ensemble(ensemble: WeightedEnsemble, structure: SectorStructure) -> np.ndarray:
-    """All ensemble elements lifted to K(N), shape (size, D, D)."""
-    return _block_lifts(ensemble.unitaries, structure)
+def _encrypt(ensemble: WeightedEnsemble, structure: SectorStructure, op: np.ndarray) -> np.ndarray:
+    """sum_j q_j L(U_j) op L(U_j)^dag on K(N).
 
-
-def _encrypt(lifted: np.ndarray, weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_j q_j L_j rho L_j^dag for a lifted ensemble of shape (size, D, D)."""
-    rho = check_density(rho, lifted.shape[-1])
-    weighted = weights[:, None, None] * lifted
-    return (weighted @ rho @ lifted.conj().transpose(0, 2, 1)).sum(axis=0)
+    The map is linear, so ``op`` may be any D x D operator, such as the
+    difference of two states; callers check their states themselves.
+    """
+    lifted = _block_lifts(ensemble.unitaries, structure)
+    weighted = ensemble.weights[:, None, None] * lifted
+    return (weighted @ op @ lifted.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_channel(ensemble: WeightedEnsemble, structure: SectorStructure, rho: np.ndarray) -> np.ndarray:
     """Encrypt a density operator: sum_j q_j L(U_j) rho L(U_j)^dag."""
-    return _encrypt(lifted_ensemble(ensemble, structure), ensemble.weights, rho)
+    return _encrypt(ensemble, structure, check_density(rho, structure.total_dim))
 
 
-def choi_block(
-    ensemble: WeightedEnsemble,
-    m: int,
-    n: int,
-    structure: SectorStructure | None = None,
-) -> np.ndarray:
-    """Sector-pair Choi block C_mn, shape ((m+1)^2, (n+1)^2).
+def choi_block(ensemble: WeightedEnsemble, m: int, n: int) -> np.ndarray:
+    """Sector-pair Choi block C_mn, shape ((m+1)^2, (n+1)^2), for any sectors m, n >= 0.
 
-    Any non-negative m, n are meaningful; passing a structure additionally
-    bounds them by its maximum photon number. One lift sweep to max(m, n)
-    gives the stacks A_m, A_n of flattened lifts, and C_mn = (q A_m)^T conj(A_n).
+    One lift sweep to max(m, n) gives the stacks A_m, A_n of flattened
+    lifts, and C_mn = (q A_m)^T conj(A_n).
     """
     for label, sector in (("m", m), ("n", n)):
         if not (_is_int(sector) and sector >= 0):
             raise SectorRangeError(f"sector {label}={sector!r} must be a non-negative int")
-    if structure is not None:
-        m = structure.check_sector(m)
-        n = structure.check_sector(n)
     lifts = sector_lifts(ensemble.unitaries, max(m, n))
     a_m = lifts[m].reshape(ensemble.size, -1)
     a_n = lifts[n].reshape(ensemble.size, -1)
@@ -108,15 +97,12 @@ def as_choi_operator(matrix: np.ndarray, structure: SectorStructure) -> dict:
 def parity_dephase(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Remove coherence between even and odd photon-number sectors."""
     rho = check_density(rho, structure.total_dim)
-    even, odd = structure.parity_projectors()
-    return even @ rho @ even + odd @ rho @ odd
+    parity = structure.photon_numbers % 2
+    return np.where(parity[:, None] == parity[None, :], rho, 0)
 
 
 def photon_number_dephase(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Remove all coherence between distinct photon-number sectors."""
     rho = check_density(rho, structure.total_dim)
-    out = np.zeros_like(rho)
-    for n in range(structure.max_photons + 1):
-        p = structure.projector(n)
-        out += p @ rho @ p
-    return out
+    photons = structure.photon_numbers
+    return np.where(photons[:, None] == photons[None, :], rho, 0)

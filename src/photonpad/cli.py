@@ -72,8 +72,8 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:+.12f}{z.imag:+.12f}i"
 
 
-def _fmt_matrix(mat: np.ndarray, indent: str = "  ") -> list[str]:
-    return [indent + " ".join(_fmt_complex(z) for z in row) for row in np.asarray(mat)]
+def _fmt_matrix(mat: np.ndarray) -> list[str]:
+    return ["  " + " ".join(_fmt_complex(z) for z in row) for row in np.asarray(mat)]
 
 
 def _matrix_from_pairs(entries: list) -> np.ndarray:
@@ -152,7 +152,7 @@ def _cmd_design_check(args, tol: float) -> tuple[dict, int]:
         "ensemble": ensemble.name or str(args.ensemble),
         "k": args.k,
         "tol": tol,
-        "key_bits_per_use": key_length(ensemble, 1),
+        "key_bits_per_use": key_length(ensemble),
         "checks": [c.to_json_dict() for c in checks],
         "is_design": checks[-1].passed,
     }

@@ -3,21 +3,21 @@
 An encryption scheme draws a qubit unitary U_j with probability q_j. It is
 a k-design when its moment operator M_k(e) = sum_j q_j U_j^(x k) (x)
 conj(U_j)^(x k) equals the Haar one. ``is_k_design`` measures
-||M_k(e) - M_k(Haar)||_F without forming either 4^k x 4^k operator. By
-Schur-Weyl duality (Gross, Audenaert & Eisert 2007), U^(x k) is a sum of
-spin blocks det(U)^((k-n)/2) L_n(U), for n <= k with n = k (mod 2), each
-repeated mu_k(n) = ``multiplicity(k, n/2)`` times, where L_n is the
-symmetric lift of ``su2.sector_lifts``. Block (m, n) of M_k(e) is then a
-realignment, which keeps Frobenius norms, of the det-twisted Choi block
+||M_k(e) - M_k(Haar)||_F without forming either 4^k x 4^k operator. M_k
+ignores a global phase on each element, so every U_j is first scaled to
+determinant one. By Schur-Weyl duality (Gross, Audenaert & Eisert 2007),
+U^(x k) for det U = 1 is a sum of spin blocks L_n(U), for n <= k with
+n = k (mod 2), each repeated mu_k(n) = ``multiplicity(k, n/2)`` times,
+where L_n is the symmetric lift of ``su2.sector_lifts``. Block (m, n) of
+M_k(e) is then a realignment, which keeps Frobenius norms, of the Choi block
 
-    Ct_mn = sum_j q_j det(U_j)^((n-m)/2) vec(L_m(U_j)) vec(L_n(U_j))^dag,
+    C_mn = sum_j q_j vec(L_m(U_j)) vec(L_n(U_j))^dag
 
-with Haar value delta_mn I/(n+1). The twist does not depend on k and is 1
-for determinant-one ensembles, where Ct_mn is ``channels.choi_block``. The
-frame potential F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k) is the
-independent cross-check: F_k(e) - F_k(Haar) is the squared moment
-deviation, with F_k(Haar) the Catalan number C(2k, k)/(k+1). The dense
-``ensemble_moment`` and ``su2.haar_moment`` stay as oracles.
+of ``channels.choi_block``, with Haar value delta_mn I/(n+1). The frame
+potential F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k) is the independent
+cross-check: F_k(e) - F_k(Haar) is the squared moment deviation, with
+F_k(Haar) the Catalan number C(2k, k)/(k+1). The dense ``ensemble_moment``
+and ``su2.haar_moment`` stay as oracles.
 
 Two built-in ensembles:
 
@@ -182,8 +182,10 @@ class DesignCheck:
 
     The verdict is the moment-operator criterion: the ensemble is a k-design
     when ||M_k(e) - M_k(Haar)||_F <= tol. The frame-potential gap is carried
-    as an independent cross-check; it equals the squared moment deviation and
-    must give the same verdict.
+    as an independent cross-check; it equals the squared moment deviation.
+    ``frame_passed`` compares that squared norm with the same tol, so it is
+    also True when tol < moment_deviation <= sqrt(tol): only ``passed``
+    decides the verdict.
     """
 
     k: int
@@ -218,18 +220,18 @@ class DesignCheck:
 
 
 def _spin_block_deviation(ensemble: WeightedEnsemble, k: int) -> float:
-    """||M_k(e) - M_k(Haar)||_F from the det-twisted spin blocks of one lift sweep."""
-    us, ws = ensemble.unitaries, ensemble.weights
-    det = np.linalg.det(us)
-    lifts = sector_lifts(us, k)
+    """||M_k(e) - M_k(Haar)||_F from the spin blocks of one lift sweep."""
+    us = ensemble.unitaries
+    det = us[:, 0, 0] * us[:, 1, 1] - us[:, 0, 1] * us[:, 1, 0]
+    lifts = sector_lifts(us / np.sqrt(det)[:, None, None], k)
     sectors = range(k % 2, k + 1, 2)
     stacks = {n: lifts[n].reshape(ensemble.size, -1) for n in sectors}
     mu = {n: multiplicity(k, Fraction(n, 2)) for n in sectors}
     total = 0.0
     for m in sectors:
+        weighted = ensemble.weights[:, None] * stacks[m]
         for n in range(m, k + 1, 2):
-            twisted = (ws * det ** ((n - m) // 2))[:, None] * stacks[m]
-            block = twisted.T @ stacks[n].conj()
+            block = weighted.T @ stacks[n].conj()
             if m == n:
                 block -= np.eye((n + 1) ** 2) / (n + 1)
             # (m, n) and (n, m) blocks are adjoints of each other
@@ -242,14 +244,14 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
 
     The verdict is ||M_k(e) - M_k(Haar)||_F <= tol, from the spin-block identity
 
-        ||M_k(e) - M_k(Haar)||_F^2 = sum_mn mu_k(m) mu_k(n) ||Ct_mn - delta_mn I/(n+1)||_F^2
+        ||M_k(e) - M_k(Haar)||_F^2 = sum_mn mu_k(m) mu_k(n) ||C_mn - delta_mn I/(n+1)||_F^2
 
-    over m, n <= k with m = n = k (mod 2), where Ct_mn carries the det twist
-    det(U_j)^((n-m)/2) (module docstring). One lift sweep to sector k gives
-    every block; each block difference is formed directly, so a vanishing
-    deviation comes out at rounding. The frame-potential gap is recorded
-    alongside. A k-design is a design at every lower order, so checking
-    the target order suffices.
+    over m, n <= k with m = n = k (mod 2), where C_mn is the Choi block of
+    the ensemble scaled to determinant one (module docstring). One lift
+    sweep to sector k gives every block; each block difference is formed
+    directly, so a vanishing deviation comes out at rounding. The
+    frame-potential gap is recorded alongside. A k-design is a design at
+    every lower order, so checking the target order suffices.
     """
     _check_order(k)
     return DesignCheck(
@@ -261,17 +263,14 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
     )
 
 
-def key_length(ensemble: WeightedEnsemble, uses: int = 1) -> float:
-    """Key bits consumed by ``uses`` independent draws from the ensemble.
+def key_length(ensemble: WeightedEnsemble) -> float:
+    """Key bits consumed by one draw from the ensemble.
 
     One draw costs the Shannon entropy H(q) = -sum_j q_j log2 q_j of the
     weight distribution.
     """
-    if not (_is_int(uses) and uses >= 0):
-        raise ValueError(f"uses must be a non-negative int, got {uses!r}")
     ws = ensemble.weights
-    entropy = float(-(ws * np.log2(ws)).sum())
-    return uses * entropy
+    return float(-(ws * np.log2(ws)).sum())
 
 
 def ensemble_to_json_dict(ensemble: WeightedEnsemble) -> dict:

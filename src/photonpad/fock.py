@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,16 +96,18 @@ class SectorStructure:
 
     @property
     def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for d in self.sector_dims:
-            out.append(acc)
-            acc += d
-        return tuple(out)
+        return tuple(n * (n + 1) // 2 for n in range(self.max_photons + 1))
 
     @property
     def total_dim(self) -> int:
         n = self.max_photons
         return (n + 1) * (n + 2) // 2
+
+    @property
+    def photon_numbers(self) -> np.ndarray:
+        """The photon number of each basis state, in layout order: 0, 1, 1, 2, 2, 2, ..."""
+        sectors = np.arange(self.max_photons + 1)
+        return np.repeat(sectors, sectors + 1)
 
     def check_sector(self, n: int) -> int:
         if not (_is_int(n) and 0 <= n <= self.max_photons):
@@ -114,7 +116,7 @@ class SectorStructure:
 
     def sector_slice(self, n: int) -> slice:
         n = self.check_sector(n)
-        off = self.offsets[n]
+        off = n * (n + 1) // 2
         return slice(off, off + n + 1)
 
     def index(self, n: int, k: int) -> int:
@@ -122,24 +124,12 @@ class SectorStructure:
         n = self.check_sector(n)
         if not 0 <= k <= n:
             raise SectorRangeError(f"need 0 <= k <= {n}, got k={k}")
-        return self.offsets[n] + (n - k)
+        return n * (n + 1) // 2 + (n - k)
 
     def projector(self, n: int) -> np.ndarray:
         """Orthogonal projector onto sector n as a total_dim matrix."""
-        p = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
-        s = self.sector_slice(n)
-        p[s, s] = np.eye(n + 1)
-        return p
-
-    def parity_projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P_even, P_odd): projectors onto even/odd total photon number."""
-        even = np.zeros((self.total_dim, self.total_dim), dtype=np.complex128)
-        odd = np.zeros_like(even)
-        for n in range(self.max_photons + 1):
-            target = even if n % 2 == 0 else odd
-            s = self.sector_slice(n)
-            target[s, s] = np.eye(n + 1)
-        return even, odd
+        n = self.check_sector(n)
+        return np.diag((self.photon_numbers == n).astype(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -167,7 +157,7 @@ class SourceSpec:
     """
 
     polarization: PolarizationSpec
-    photon_amplitudes: tuple[complex, ...] = field(default=(0.0 + 0j, 1.0 + 0j))
+    photon_amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
         amps = tuple(_as_complex(c, "photon amplitude") for c in self.photon_amplitudes)
@@ -213,7 +203,7 @@ class SourceSpec:
         return json.dumps(self.to_json_dict())
 
 
-def build_source_state(source: SourceSpec, structure: SectorStructure | None = None) -> np.ndarray:
+def build_source_state(source: SourceSpec, structure: SectorStructure) -> np.ndarray:
     """State vector of a source on K(N), sector by sector.
 
     The n-photon component of polarization (alpha, beta) expands binomially
@@ -221,12 +211,9 @@ def build_source_state(source: SourceSpec, structure: SectorStructure | None = N
 
         |phi_n> = sum_k alpha^k beta^(n-k) sqrt(C(n,k)) |k, n-k>,
 
-    so the returned vector holds c_n * that expansion in each sector. If
-    ``structure`` is omitted it is sized by the source itself; a larger
-    structure zero-pads the high sectors.
+    so the returned vector holds c_n * that expansion in each sector. A
+    structure larger than the source zero-pads the high sectors.
     """
-    if structure is None:
-        structure = SectorStructure(source.max_photons)
     if source.max_photons > structure.max_photons:
         raise DimensionError(
             f"source reaches {source.max_photons} photons, structure stops at {structure.max_photons}"
@@ -234,9 +221,9 @@ def build_source_state(source: SourceSpec, structure: SectorStructure | None = N
     alpha, beta = source.polarization.alpha, source.polarization.beta
     vec = np.zeros(structure.total_dim, dtype=np.complex128)
     for n, c in enumerate(source.photon_amplitudes):
-        for k in range(n, -1, -1):
-            amp = c * alpha**k * beta ** (n - k) * math.sqrt(math.comb(n, k))
-            vec[structure.index(n, k)] = amp
+        vec[structure.sector_slice(n)] = [
+            c * alpha**k * beta ** (n - k) * math.sqrt(math.comb(n, k)) for k in range(n, -1, -1)
+        ]
     return vec
 
 

@@ -19,6 +19,8 @@ __all__ = [
     "is_hermitian",
 ]
 
+DENSITY_TOL = 1e-10
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a finite square complex128 matrix."""
@@ -35,9 +37,10 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
+    """Square, with ||a - a^dag||_F <= ``DENSITY_TOL``."""
     a = np.asarray(a, dtype=np.complex128)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and frobenius(a - a.conj().T) <= tol
+    return a.ndim == 2 and a.shape[0] == a.shape[1] and frobenius(a - a.conj().T) <= DENSITY_TOL
 
 
 def trace_norm(a: np.ndarray) -> float:

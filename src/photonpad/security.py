@@ -38,11 +38,12 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import _encrypt, apply_channel, choi_block, lifted_ensemble
+from .channels import _encrypt, apply_channel, choi_block
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
 from .fock import PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, build_source_state
 from .linalg import frobenius, trace_norm
+from .su2 import check_density
 
 __all__ = [
     "Classification",
@@ -127,12 +128,11 @@ def security_report(
     blocks with m <= n are computed: C_nm = C_mn^dag, so the table is
     symmetric by construction and ``worst_block`` is never decided by rounding.
     """
-    structure = SectorStructure(max_photons)
-    top = structure.max_photons
+    top = SectorStructure(max_photons).max_photons  # validates max_photons
     deviations = np.zeros((top + 1, top + 1))
     for m in range(top + 1):
         for n in range(m, top + 1):
-            block = choi_block(ensemble, m, n, structure)
+            block = choi_block(ensemble, m, n)
             if m == n:
                 block = block - np.eye((n + 1) ** 2) / (n + 1)
             deviations[m, n] = deviations[n, m] = frobenius(block)
@@ -158,18 +158,19 @@ def leakage(
     Returns (1/2) || E(rho_a) - E(rho_b) ||_1 in [0, 1]; zero means an
     eavesdropper seeing only ciphertexts cannot tell the sources apart.
     ``pre_channel``, if given, is applied to both plaintext states first
-    (e.g. ``parity_dephase`` with signature (rho, structure)).
+    (e.g. ``parity_dephase`` with signature (rho, structure)). Each
+    plaintext is checked as a density operator; E is linear, so the
+    difference rho_a - rho_b is encrypted once.
     """
     structure = SectorStructure(max_photons)
-    lifted = lifted_ensemble(ensemble, structure)
-    outputs = []
+    states = []
     for source in (source_a, source_b):
         vec = build_source_state(source, structure)
         rho = np.outer(vec, vec.conj())
         if pre_channel is not None:
             rho = pre_channel(rho, structure)
-        outputs.append(_encrypt(lifted, ensemble.weights, rho))
-    return 0.5 * trace_norm(outputs[0] - outputs[1])
+        states.append(check_density(rho, structure.total_dim))
+    return 0.5 * trace_norm(_encrypt(ensemble, structure, states[0] - states[1]))
 
 
 @dataclass(frozen=True)

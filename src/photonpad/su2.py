@@ -58,7 +58,7 @@ from .errors import (
     SpinRangeError,
 )
 from .fock import SectorStructure, _is_int
-from .linalg import is_hermitian
+from .linalg import DENSITY_TOL, is_hermitian
 
 __all__ = [
     "sector_lifts",
@@ -72,8 +72,6 @@ __all__ = [
     "haar_choi",
     "check_density",
 ]
-
-DENSITY_TOL = 1e-10
 
 
 def _check_qubit_unitaries(us: np.ndarray, tol: float) -> np.ndarray:
@@ -276,7 +274,7 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
         raise NotDensityOperatorError(f"expected shape {(dim, dim)}, got {rho.shape}")
     if not np.all(np.isfinite(rho.view(np.float64))):
         raise NotDensityOperatorError("density operator contains non-finite entries")
-    if not is_hermitian(rho, DENSITY_TOL):
+    if not is_hermitian(rho):
         raise NotDensityOperatorError("density operator is not Hermitian within tolerance")
     if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
         raise NotDensityOperatorError(f"trace {np.trace(rho)!r} is not 1 within tolerance")

@@ -311,4 +311,4 @@ def test_representation_properties(rng):
 
 
 def test_key_length_two_bits():
-    assert key_length(pauli_ensemble(), 1) == 2.0
+    assert key_length(pauli_ensemble()) == 2.0

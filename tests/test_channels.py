@@ -5,14 +5,13 @@ from photonpad.channels import (
     apply_channel,
     as_choi_operator,
     choi_block,
-    lifted_ensemble,
     parity_dephase,
     photon_number_dephase,
 )
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
 from photonpad.errors import NotDensityOperatorError, QuadratureOrderError, SectorRangeError, SpinRangeError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
-from photonpad.su2 import HaarQuadrature, block_lift, haar_choi, multiplicity
+from photonpad.su2 import HaarQuadrature, _block_lifts, block_lift, haar_choi, multiplicity
 
 from conftest import random_density, random_unitary
 from test_su2 import dense_lift
@@ -50,7 +49,7 @@ def apply_via_choi(j, rho):
 
 def test_lifted_ensemble_shapes():
     s = SectorStructure(2)
-    lifted = lifted_ensemble(pauli_ensemble(), s)
+    lifted = _block_lifts(pauli_ensemble().unitaries, s)
     assert lifted.shape == (4, 6, 6)
     for mat in lifted:
         assert np.allclose(mat @ mat.conj().T, np.eye(6))
@@ -157,8 +156,6 @@ def test_choi_block_matches_dense_loop(rng, size):
 def test_choi_block_range_checks():
     with pytest.raises(SectorRangeError):
         choi_block(pauli_ensemble(), -1, 0)
-    with pytest.raises(SectorRangeError):
-        choi_block(pauli_ensemble(), 3, 0, structure=SectorStructure(2))
 
 
 def test_full_choi_identity_channel():
@@ -186,7 +183,7 @@ def test_full_choi_blocks_match_choi_block():
         _, blocks = dense_choi(e, s)
         assert sorted(blocks) == [(m, n) for m in range(3) for n in range(3)]
         for (m, n), block in blocks.items():
-            assert np.abs(block - choi_block(e, m, n, s)).max() < 1e-13
+            assert np.abs(block - choi_block(e, m, n)).max() < 1e-13
 
 
 def test_choi_reproduces_channel_action(rng):
@@ -238,6 +235,17 @@ def test_photon_number_dephase_leaves_only_sector_blocks():
     assert np.isclose(out[0, 0].real, 0.36, atol=1e-13)
     diag_block = out[s.sector_slice(2), s.sector_slice(2)]
     assert np.abs(diag_block - rho[s.sector_slice(2), s.sector_slice(2)]).max() < 1e-14
+
+
+@pytest.mark.parametrize("top", range(7))
+def test_dephasers_match_projector_sums(rng, top):
+    s = SectorStructure(top)
+    rho = random_density(rng, s.total_dim)
+    projectors = [s.projector(n) for n in range(top + 1)]
+    even = sum(projectors[0::2])
+    odd = sum(projectors[1::2], np.zeros_like(rho))
+    assert np.abs(parity_dephase(rho, s) - (even @ rho @ even + odd @ rho @ odd)).max() <= 1e-15
+    assert np.abs(photon_number_dephase(rho, s) - sum(p @ rho @ p for p in projectors)).max() <= 1e-15
 
 
 def test_dephase_rejects_non_density():

@@ -1,13 +1,21 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from photonpad.channels import as_choi_operator
 from photonpad.cli import _COMMANDS, main, parse_complex
+from photonpad.designs import ensemble_to_json_dict
 from photonpad.errors import ParseError
 from photonpad.fock import SectorStructure
 from photonpad.su2 import haar_choi
+
+from test_designs import rotated_clifford12
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -69,6 +77,16 @@ def test_design_check_clifford12_third_order_fails(capsys):
     assert np.isclose(third["moment_deviation"], 1.0, atol=1e-9)
     assert np.isclose(third["frame_potential"], 6.0, atol=1e-9)
     assert np.isclose(third["haar_frame_potential"], 5.0, atol=1e-9)
+
+
+def test_design_check_fails_closed_where_frame_gap_passes(capsys, tmp_path):
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(ensemble_to_json_dict(rotated_clifford12())))
+    code, out, _ = run(capsys, "design-check", "--ensemble", str(path), "--k", "2")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["is_design"] is False
+    assert abs(payload["checks"][-1]["moment_deviation"] - 2.0e-6) <= 1e-9
 
 
 def test_analyze_exit_codes(capsys):
@@ -408,3 +426,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def readme_block(heading: str) -> str:
+    """The first fenced code block after a README heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    return re.search(r"```[a-z]*\n(.*?)```", section, re.S).group(1)
+
+
+@pytest.mark.parametrize(
+    "line", [ln for ln in readme_block("Command line").splitlines() if ln.startswith("photonpad ")]
+)
+def test_readme_command_line_examples(capsys, tmp_path, monkeypatch, line):
+    # The README's a.json and b.json: same photon amplitudes, different polarizations.
+    monkeypatch.chdir(tmp_path)
+    write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 0.6, 0.8))
+    write_source(tmp_path, "b.json", 0.0, 1.0, (0.0, 0.6, 0.8))
+    command, _, comment = line.partition("#")
+    stated = re.match(r"\s*exit (\d+)", comment)
+    code, out, err = run(capsys, *shlex.split(command)[1:])
+    assert code == (int(stated.group(1)) if stated else 0), err
+    json.loads(out)
+
+
+def test_readme_python_api_example(capsys):
+    exec(compile(readme_block("Python API in one minute"), str(README), "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["[True, True, False]", "PARITY_SECURE"]
+    assert out[2].startswith("0.7071") and out[3].startswith("0.3417")
+    assert float(out[4]) < 1e-14

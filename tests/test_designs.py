@@ -136,6 +136,26 @@ def test_moment_deviation_squared_equals_frame_gap():
             assert check.passed == check.frame_passed
 
 
+def rotated_clifford12(angle=3e-6):
+    """clifford12 with element 5 multiplied by a real rotation through ``angle``."""
+    e = clifford12_ensemble()
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    us = e.unitaries.copy()
+    us[5] = us[5] @ rotation
+    return WeightedEnsemble(us, e.weights, name="clifford12_rotated")
+
+
+def test_frame_gap_passes_where_the_design_verdict_fails():
+    # The frame gap is the squared deviation, compared with the same tol, so it
+    # passes for tol < deviation <= sqrt(tol); the verdict must still fail.
+    check = is_k_design(rotated_clifford12(), 2)
+    assert abs(check.moment_deviation - 2.0e-6) <= 1e-9
+    assert abs(check.frame_gap - 4.0e-12) <= 1e-14
+    assert not check.passed
+    assert check.frame_passed
+    assert check.to_json_dict()["passed"] is False
+
+
 def _random_ensemble(rng, size):
     """Random U(2) elements (det != 1) with non-uniform weights."""
     weights = rng.random(size) + 0.1
@@ -156,7 +176,7 @@ def test_spin_block_deviation_matches_dense_moments(rng):
 def test_quadrature_nodes_with_random_phases_are_designs(rng):
     # HaarQuadrature(K) is exact to order K, and a global phase per element
     # cancels in U (x) conj(U), so the rotated nodes are still a K-design;
-    # the phases make det != 1, which only the det twist gets right.
+    # the phases make det != 1, which only the scaling to det = 1 gets right.
     for order in (1, 2, 3, 4, 5):
         quad = HaarQuadrature(order)
         phases = np.exp(2j * np.pi * rng.random(quad.node_count))
@@ -214,7 +234,6 @@ def test_frame_potential_ignores_global_phase(gamma, k):
 
 def test_key_length():
     assert key_length(pauli_ensemble()) == 2.0
-    assert key_length(pauli_ensemble(), uses=3) == 6.0
     assert np.isclose(key_length(clifford12_ensemble()), np.log2(12), atol=1e-13)
     single = WeightedEnsemble([np.eye(2)], [1.0])
     assert key_length(single) == 0.0

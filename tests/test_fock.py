@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,12 +13,24 @@ from photonpad.fock import (
     symmetric_embedding,
 )
 
+from conftest import random_state
+
 
 def test_sector_layout():
     s = SectorStructure(3)
     assert s.sector_dims == (1, 2, 3, 4)
     assert s.offsets == (0, 1, 3, 6)
     assert s.total_dim == 10
+
+
+@pytest.mark.parametrize("top", range(9))
+def test_photon_numbers_and_offsets(top):
+    s = SectorStructure(top)
+    labels = [n for n in range(top + 1) for _ in range(n + 1)]
+    assert s.photon_numbers.tolist() == labels
+    assert s.offsets == tuple(labels.index(n) for n in range(top + 1))
+    for n in range(top + 1):
+        assert s.photon_numbers[s.sector_slice(n)].tolist() == [n] * (n + 1)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -51,15 +64,6 @@ def test_projectors_resolve_identity():
         p = s.projector(n)
         assert np.allclose(p @ p, p)
         assert np.isclose(np.trace(p), n + 1)
-
-
-def test_parity_projectors():
-    s = SectorStructure(3)
-    even, odd = s.parity_projectors()
-    assert np.allclose(even + odd, np.eye(10))
-    assert np.allclose(even @ odd, np.zeros((10, 10)))
-    assert np.isclose(np.trace(even), 1 + 3)
-    assert np.isclose(np.trace(odd), 2 + 4)
 
 
 def test_polarization_requires_normalization():
@@ -105,6 +109,19 @@ def test_build_source_state_two_photon_amplitudes():
     assert np.isclose(psi[s.index(2, 1)], np.sqrt(2) * alpha * beta)
     assert np.isclose(psi[s.index(2, 0)], beta**2)
     assert np.isclose(np.linalg.norm(psi), 1.0)
+
+
+def test_build_source_state_matches_per_index_formula(rng):
+    for top in range(9):
+        s = SectorStructure(top + 1)
+        alpha, beta = random_state(rng, 2)
+        amps = random_state(rng, top + 1)
+        expected = np.zeros(s.total_dim, dtype=complex)
+        for n, c in enumerate(amps):
+            for k in range(n + 1):
+                expected[s.index(n, k)] = c * alpha**k * beta ** (n - k) * np.sqrt(math.comb(n, k))
+        psi = build_source_state(SourceSpec(PolarizationSpec(alpha, beta), tuple(amps)), s)
+        assert np.abs(psi - expected).max() <= 1e-15
 
 
 def test_build_source_state_pads_into_larger_structure():

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from photonpad.channels import choi_block, parity_dephase
+from photonpad.channels import choi_block, parity_dephase, photon_number_dephase
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
 from photonpad.errors import DimensionError, NormalizationError
-from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec
+from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
 from photonpad.security import (
     AppendixAReference,
     Classification,
@@ -16,6 +16,7 @@ from photonpad.security import (
     reproduce_appendix_b,
     security_report,
 )
+from photonpad.su2 import block_lift
 
 from conftest import antisymmetric_identity_check, random_state, random_unitary
 
@@ -195,6 +196,33 @@ def test_secure_ensemble_leaks_nothing(rng):
         a = SourceSpec(random_polarization(rng), amps)
         b = SourceSpec(random_polarization(rng), amps)
         assert leakage(e, a, b, 1) < 1e-12
+
+
+def dense_leakage(ensemble, a, b, max_photons, pre_channel):
+    """Oracle: encrypt each source with dense block lifts, then sum |eigenvalues| of the difference."""
+    s = SectorStructure(max_photons)
+    lifts = [block_lift(u, s) for u in ensemble.unitaries]
+    outputs = []
+    for src in (a, b):
+        psi = build_source_state(src, s)
+        rho = np.outer(psi, psi.conj())
+        if pre_channel is not None:
+            rho = pre_channel(rho, s)
+        outputs.append(sum(w * lift @ rho @ lift.conj().T for w, lift in zip(ensemble.weights, lifts)))
+    return 0.5 * np.abs(np.linalg.eigvalsh(outputs[0] - outputs[1])).sum()
+
+
+@pytest.mark.parametrize("size", [1, 5, 24])
+def test_leakage_matches_dense_two_encryption_oracle(rng, size):
+    weights = rng.random(size) + 0.1
+    e = WeightedEnsemble([random_unitary(rng) for _ in range(size)], weights / weights.sum())
+    for max_photons in range(1, 9):
+        amps = random_state(rng, max_photons + 1)
+        a = SourceSpec(random_polarization(rng), tuple(amps))
+        b = SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons)))
+        for pre in (None, parity_dephase, photon_number_dephase):
+            expected = dense_leakage(e, a, b, max_photons, pre)
+            assert abs(leakage(e, a, b, max_photons, pre_channel=pre) - expected) <= 1e-13
 
 
 def test_leakage_rejects_oversized_source():
