@@ -20,6 +20,9 @@ off-diagonal block vanishes. Diagonal blocks see only |entries|^2 of the
 ensemble elements, while cross blocks pick up the relative phases between
 the lifts L_m and L_n, which is why element phase conventions are physical
 here.
+
+``apply_channel`` and ``leakage`` encrypt sector by sector from one
+``sector_lifts`` sweep in 2(N+1) GEMMs and never form a D x D lift.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .designs import WeightedEnsemble
 from .errors import SectorRangeError
 from .fock import SectorStructure, _is_int
-from .su2 import _block_lifts, check_density, sector_lifts
+from .su2 import check_density, sector_lifts
 
 __all__ = [
     "apply_channel",
@@ -41,14 +44,25 @@ __all__ = [
 
 
 def _encrypt(ensemble: WeightedEnsemble, structure: SectorStructure, op: np.ndarray) -> np.ndarray:
-    """sum_j q_j L(U_j) op L(U_j)^dag on K(N).
+    """sum_j q_j L(U_j) op L(U_j)^dag on K(N) from one lift sweep, with no D x D lift.
 
-    The map is linear, so ``op`` may be any D x D operator, such as the
-    difference of two states; callers check their states themselves.
+    Column sector n of all op L(U_j)^dag is one GEMM of op's sector-n columns
+    with the L_n(U_j)^dag side by side; row sector m of the sum is one GEMM of
+    the q_j L_m(U_j) side by side with the sector-m rows of those products.
+    ``op`` may be any D x D operator (the map is linear); callers check states.
     """
-    lifted = _block_lifts(ensemble.unitaries, structure)
-    weighted = ensemble.weights[:, None, None] * lifted
-    return (weighted @ op @ lifted.conj().transpose(0, 2, 1)).sum(axis=0)
+    lifts = sector_lifts(ensemble.unitaries, structure.max_photons)
+    s, d = ensemble.size, structure.total_dim
+    slices = [structure.sector_slice(n) for n in range(len(lifts))]
+    right = np.empty((d, s, d), dtype=np.complex128)  # right[a, j, c] = (op L(U_j)^dag)[a, c]
+    for n, lift in enumerate(lifts):
+        daggers = lift.conj().transpose(2, 0, 1).reshape(n + 1, -1)
+        right[:, :, slices[n]] = (op[:, slices[n]] @ daggers).reshape(d, s, n + 1)
+    out = np.empty((d, d), dtype=np.complex128)
+    for n, lift in enumerate(lifts):
+        weighted = (ensemble.weights[:, None, None] * lift).transpose(1, 2, 0).reshape(n + 1, -1)
+        out[slices[n]] = weighted @ right[slices[n]].reshape(-1, d)
+    return out
 
 
 def apply_channel(ensemble: WeightedEnsemble, structure: SectorStructure, rho: np.ndarray) -> np.ndarray:

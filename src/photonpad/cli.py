@@ -27,6 +27,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .channels import parity_dephase, photon_number_dephase
 from .designs import is_k_design, key_length, load_ensemble
 from .errors import ParseError, PhotonPadError
@@ -104,6 +105,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="photonpad", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"photonpad {__version__}")
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help=f"numerical tolerance, in (0, {MAX_TOL:g}]")
     common.add_argument("--out", default=None, help="write the payload to this file instead of stdout")
@@ -270,16 +272,10 @@ def _cmd_leakage(args, tol: float) -> tuple[dict, int]:
 
 
 def _render_leakage(payload: dict) -> str:
-    return "\n".join(
-        [
-            "leakage: ensemble={} max_photons={} dephase={}".format(
-                payload["ensemble"], payload["max_photons"], payload["dephase"]
-            ),
-            f"trace distance: {payload['leakage']:.12e}",
-            "verdict: {}".format(
-                "indistinguishable" if payload["indistinguishable"] else "DISTINGUISHABLE"
-            ),
-        ]
+    verdict = "indistinguishable" if payload["indistinguishable"] else "DISTINGUISHABLE"
+    return (
+        f"leakage: ensemble={payload['ensemble']} max_photons={payload['max_photons']} "
+        f"dephase={payload['dephase']}\ntrace distance: {payload['leakage']:.12e}\nverdict: {verdict}"
     )
 
 

@@ -135,19 +135,12 @@ def lift_symmetric(u: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarray:
     return sector_lifts(np.asarray(u, dtype=np.complex128)[None], n, tol)[n][0]
 
 
-def _block_lifts(unitaries: np.ndarray, structure: SectorStructure) -> np.ndarray:
-    """Direct sums L(U_j) on K(N) for a stack of unitaries, shape (m, D, D)."""
-    lifts = sector_lifts(unitaries, structure.max_photons)
-    out = np.zeros((lifts[0].shape[0], structure.total_dim, structure.total_dim), dtype=np.complex128)
-    for n, lifted in enumerate(lifts):
-        s = structure.sector_slice(n)
-        out[:, s, s] = lifted
-    return out
-
-
 def block_lift(u: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Direct sum of sector lifts: L(U) = L_0(U) (+) ... (+) L_N(U) on K(N)."""
-    return _block_lifts(np.asarray(u, dtype=np.complex128)[None], structure)[0]
+    out = np.zeros((structure.total_dim, structure.total_dim), dtype=np.complex128)
+    for n, lifted in enumerate(sector_lifts(np.asarray(u, dtype=np.complex128)[None], structure.max_photons)):
+        out[structure.sector_slice(n), structure.sector_slice(n)] = lifted[0]
+    return out
 
 
 def multiplicity(k: int, s) -> int:
@@ -268,7 +261,11 @@ def haar_moment(k: int) -> np.ndarray:
 
 
 def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
-    """Validate a density operator of the given dimension (at ``DENSITY_TOL``) and return it."""
+    """Validate a density operator of the given dimension (at ``DENSITY_TOL``) and return it.
+
+    Positivity: rho passes if rho + DENSITY_TOL I has a Cholesky factor; only if
+    not does ``eigvalsh`` decide, failing a smallest eigenvalue below -DENSITY_TOL.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (dim, dim):
         raise NotDensityOperatorError(f"expected shape {(dim, dim)}, got {rho.shape}")
@@ -278,9 +275,12 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
         raise NotDensityOperatorError("density operator is not Hermitian within tolerance")
     if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
         raise NotDensityOperatorError(f"trace {np.trace(rho)!r} is not 1 within tolerance")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < -DENSITY_TOL:
-        raise NotDensityOperatorError(f"negative eigenvalue {w.min():.3e}")
+    try:
+        np.linalg.cholesky(rho + DENSITY_TOL * np.eye(dim))
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(rho)
+        if w.min() < -DENSITY_TOL:
+            raise NotDensityOperatorError(f"negative eigenvalue {w.min():.3e}") from None
     return rho
 
 

@@ -11,7 +11,7 @@ from photonpad.channels import (
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
 from photonpad.errors import NotDensityOperatorError, QuadratureOrderError, SectorRangeError, SpinRangeError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
-from photonpad.su2 import HaarQuadrature, _block_lifts, block_lift, haar_choi, multiplicity
+from photonpad.su2 import HaarQuadrature, block_lift, haar_choi, multiplicity
 
 from conftest import random_density, random_unitary
 from test_su2 import dense_lift
@@ -49,13 +49,13 @@ def apply_via_choi(j, rho):
 
 def test_lifted_ensemble_shapes():
     s = SectorStructure(2)
-    lifted = _block_lifts(pauli_ensemble().unitaries, s)
-    assert lifted.shape == (4, 6, 6)
-    for mat in lifted:
+    for u in pauli_ensemble().unitaries:
+        mat = block_lift(u, s)
+        assert mat.shape == (6, 6)
         assert np.allclose(mat @ mat.conj().T, np.eye(6))
 
 
-@pytest.mark.parametrize("top", range(6))
+@pytest.mark.parametrize("top", range(11))
 def test_apply_channel_matches_dense_loop(rng, top):
     s = SectorStructure(top)
     weights = rng.random(5) + 0.1

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import photonpad
 from photonpad.channels import as_choi_operator
 from photonpad.cli import _COMMANDS, main, parse_complex
 from photonpad.designs import ensemble_to_json_dict
@@ -36,6 +37,13 @@ def write_source(tmp_path, name, alpha, beta, amplitudes):
         )
     )
     return str(path)
+
+
+def test_version_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"photonpad {photonpad.__version__}\n" == "photonpad 0.1.0\n"
 
 
 def test_parse_complex():

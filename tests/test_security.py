@@ -5,7 +5,7 @@ import pytest
 
 from photonpad.channels import choi_block, parity_dephase, photon_number_dephase
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
-from photonpad.errors import DimensionError, NormalizationError
+from photonpad.errors import DimensionError, NormalizationError, NotDensityOperatorError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
 from photonpad.security import (
     AppendixAReference,
@@ -223,6 +223,47 @@ def test_leakage_matches_dense_two_encryption_oracle(rng, size):
         for pre in (None, parity_dephase, photon_number_dephase):
             expected = dense_leakage(e, a, b, max_photons, pre)
             assert abs(leakage(e, a, b, max_photons, pre_channel=pre) - expected) <= 1e-13
+
+
+@pytest.mark.parametrize("max_photons", [10, 12])
+def test_leakage_matches_dense_oracle_past_cli_cap(rng, max_photons):
+    weights = rng.random(6) + 0.1
+    e = WeightedEnsemble([random_unitary(rng) for _ in range(6)], weights / weights.sum())
+    a = SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
+    b = SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
+    for pre in (None, parity_dephase, photon_number_dephase):
+        expected = dense_leakage(e, a, b, max_photons, pre)
+        assert abs(leakage(e, a, b, max_photons, pre_channel=pre) - expected) <= 1e-13
+
+
+def test_leakage_with_user_pre_channel(rng):
+    # a pre-channel outside the package: conjugation by a fixed block lift
+    fixed = random_unitary(rng)
+
+    def rotate(rho, structure):
+        lift = block_lift(fixed, structure)
+        return lift @ rho @ lift.conj().T
+
+    e = WeightedEnsemble([random_unitary(rng) for _ in range(5)], [0.2] * 5)
+    for max_photons in (1, 4, 9):
+        a = SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
+        b = SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
+        expected = dense_leakage(e, a, b, max_photons, rotate)
+        assert abs(leakage(e, a, b, max_photons, pre_channel=rotate) - expected) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "pre_channel, message",
+    [
+        (lambda rho, s: 2 * rho, "trace"),
+        (lambda rho, s: 1.5 * rho - 0.5 * np.eye(s.total_dim) / s.total_dim, "negative eigenvalue"),
+        (lambda rho, s: rho[:-1, :-1], "expected shape"),
+    ],
+)
+def test_leakage_rejects_non_density_pre_channel(pre_channel, message):
+    amps = (0.6, 0.0, 0.8)
+    with pytest.raises(NotDensityOperatorError, match=f"^{message}"):
+        leakage(clifford12_ensemble(), source(1, 0, amps), source(0, 1, amps), 2, pre_channel=pre_channel)
 
 
 def test_leakage_rejects_oversized_source():

@@ -13,9 +13,11 @@ from photonpad.errors import (
     SpinRangeError,
 )
 from photonpad.fock import SectorStructure, symmetric_embedding
+from photonpad.linalg import DENSITY_TOL
 from photonpad.su2 import (
     HaarQuadrature,
     block_lift,
+    check_density,
     default_quadrature,
     haar_channel_apply,
     haar_choi,
@@ -263,6 +265,44 @@ def test_haar_channel_rejects_bad_input():
         haar_channel_apply(np.eye(3), s)  # trace 3
     with pytest.raises(NotDensityOperatorError):
         haar_channel_apply(np.diag([1.5, -0.5, 0.0]), s)
+
+
+def spectrum_density(rng, dim, smallest):
+    """Q diag(lam) Q^dag with a random unitary Q, unit trace and smallest eigenvalue ``smallest``."""
+    rest = rng.random(dim - 1) + 0.1
+    lam = np.concatenate(([smallest], (1.0 - smallest) * rest / rest.sum()))
+    q = random_unitary(rng, dim)
+    rho = (q * lam) @ q.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@pytest.mark.parametrize("dim", [3, 21, 45])
+@pytest.mark.parametrize("smallest", [-2e-10, -1.01e-10, -0.99e-10, -5e-11, 0.0])
+def test_check_density_positivity_boundary(rng, dim, smallest):
+    rho = spectrum_density(rng, dim, smallest)
+    w_min = np.linalg.eigvalsh(rho).min()
+    assert abs(w_min - smallest) < 1e-13
+    if w_min < -DENSITY_TOL:
+        assert smallest < -DENSITY_TOL
+        with pytest.raises(NotDensityOperatorError, match=f"^negative eigenvalue {w_min:.3e}$"):
+            check_density(rho, dim)
+    else:
+        assert smallest > -DENSITY_TOL
+        assert np.array_equal(check_density(rho, dim), rho)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rho: np.where(np.eye(len(rho)) > 0, np.nan, rho), "density operator contains non-finite entries"),
+        (lambda rho: rho + np.triu(np.full_like(rho, 1e-6), 1), "density operator is not Hermitian within tolerance"),
+        (lambda rho: 1.01 * rho, "trace .* is not 1 within tolerance"),
+    ],
+)
+@pytest.mark.parametrize("dim", [3, 21, 45])
+def test_check_density_other_failures_keep_their_messages(rng, dim, edit, message):
+    with pytest.raises(NotDensityOperatorError, match=f"^{message}$"):
+        check_density(edit(spectrum_density(rng, dim, 0.0)), dim)
 
 
 def test_haar_choi_smallest_cases():
