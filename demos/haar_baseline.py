@@ -11,13 +11,13 @@ agree to machine precision.
 import numpy as np
 
 from photonpad import (
+    HaarQuadrature,
     PolarizationSpec,
     SectorStructure,
     SourceSpec,
     as_choi_operator,
     block_lift,
     build_source_state,
-    default_quadrature,
     haar_channel_apply,
     haar_choi,
 )
@@ -40,7 +40,7 @@ def main():
     print("nothing about (alpha, beta) survives, |c_n|^2 does.")
     print()
 
-    quad = default_quadrature(2)
+    quad = HaarQuadrature(2)
     integrated = quad.average(lambda u: block_lift(u, s) @ rho @ block_lift(u, s).conj().T)
     print(f"quadrature with {quad.node_count} nodes reproduces it to "
           f"{np.abs(integrated - out).max():.3e}")

@@ -18,9 +18,9 @@ def main():
 
     s = SectorStructure(3)
     print("sectors for N = 3")
-    print("  dims   :", s.sector_dims)
-    print("  offsets:", s.offsets)
-    print("  total  :", s.total_dim, "= (N+1)(N+2)/2")
+    print("  photon numbers:", s.photon_numbers.tolist())
+    print("  sector slices :", [(sl.start, sl.stop) for sl in map(s.sector_slice, range(4))])
+    print("  total         :", s.total_dim, "= (N+1)(N+2)/2")
     print()
 
     print("basis layout: sector n lists |n,0>, |n-1,1>, ..., |0,n> (H count descending)")

@@ -62,7 +62,6 @@ from .security import (
 from .su2 import (
     HaarQuadrature,
     block_lift,
-    default_quadrature,
     haar_channel_apply,
     haar_choi,
     haar_moment,
@@ -96,7 +95,6 @@ __all__ = [
     "block_lift",
     "multiplicity",
     "HaarQuadrature",
-    "default_quadrature",
     "haar_moment",
     "haar_channel_apply",
     "haar_choi",

@@ -32,7 +32,6 @@ from .channels import parity_dephase, photon_number_dephase
 from .designs import is_k_design, key_length, load_ensemble
 from .errors import ParseError, PhotonPadError
 from .fock import SourceSpec, _json_pairs
-from .linalg import as_matrix
 from .security import (
     Classification,
     leakage,
@@ -69,16 +68,14 @@ def parse_complex(token: str) -> complex:
     return z
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{z.real:+.12f}{z.imag:+.12f}i"
+def _fmt_complex(re: float, im: float) -> str:
+    """re+im i at 12 decimals; a part that rounds to zero prints as +0, whatever its sign."""
+    return f"{round(re, 12) + 0.0:+.12f}{round(im, 12) + 0.0:+.12f}i"
 
 
-def _fmt_matrix(mat: np.ndarray) -> list[str]:
-    return ["  " + " ".join(_fmt_complex(z) for z in row) for row in np.asarray(mat)]
-
-
-def _matrix_from_pairs(entries: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in entries])
+def _fmt_matrix(rows: list) -> list[str]:
+    """Rows of [re, im] pairs, as the payloads carry them."""
+    return ["  " + " ".join(_fmt_complex(re, im) for re, im in row) for row in rows]
 
 
 def _check_bounds(flag: str, value: int, lo: int, hi: int) -> None:
@@ -107,28 +104,29 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="photonpad", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"photonpad {__version__}")
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help=f"numerical tolerance, in (0, {MAX_TOL:g}]")
     common.add_argument("--out", default=None, help="write the payload to this file instead of stdout")
     common.add_argument("--format", choices=("json", "text"), default="json")
+    verdict = _Parser(add_help=False, parents=[common])
+    verdict.add_argument("--tol", type=float, default=None, help=f"numerical tolerance, in (0, {MAX_TOL:g}]")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("design-check", parents=[common], help="k-design verification")
+    p = sub.add_parser("design-check", parents=[verdict], help="k-design verification")
     p.add_argument("--ensemble", required=True, help="builtin name (pauli, clifford12) or JSON path")
     p.add_argument("--k", type=int, required=True, help=f"design order to certify, 1..{MAX_DESIGN_ORDER}")
 
-    p = sub.add_parser("analyze", parents=[common], help="Choi-block security classification")
+    p = sub.add_parser("analyze", parents=[verdict], help="Choi-block security classification")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--max-photons", type=int, default=3)
 
     rep = sub.add_parser("reproduce", help="built-in reference computations")
     rsub = rep.add_subparsers(dest="which", required=True, parser_class=_Parser)
-    p = rsub.add_parser("appendix-a", parents=[common])
-    p = rsub.add_parser("appendix-b", parents=[common])
+    p = rsub.add_parser("appendix-a", parents=[verdict])
+    p = rsub.add_parser("appendix-b", parents=[verdict])
     p.add_argument("--c", type=parse_complex, required=True, help="vacuum amplitude")
     p.add_argument("--alpha", type=parse_complex, required=True)
     p.add_argument("--beta", type=parse_complex, required=True)
 
-    p = sub.add_parser("leakage", parents=[common], help="trace distance of two encrypted sources")
+    p = sub.add_parser("leakage", parents=[verdict], help="trace distance of two encrypted sources")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--max-photons", type=int, default=3)
     p.add_argument("--dephase", choices=("none", "parity", "photon-number"), default="none",
@@ -146,7 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_design_check(args, tol: float) -> tuple[dict, int]:
+def _cmd_design_check(args) -> tuple[dict, int]:
+    tol = _check_tol(args.tol, 1e-9)
     _check_bounds("--k", args.k, 1, MAX_DESIGN_ORDER)
     ensemble = load_ensemble(args.ensemble)
     checks = [is_k_design(ensemble, k, tol) for k in range(1, args.k + 1)]
@@ -180,7 +179,8 @@ def _render_design_check(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_analyze(args, tol: float) -> tuple[dict, int]:
+def _cmd_analyze(args) -> tuple[dict, int]:
+    tol = _check_tol(args.tol, 1e-9)
     _check_bounds("--max-photons", args.max_photons, 1, MAX_PHOTON_BOUND)
     ensemble = load_ensemble(args.ensemble)
     report = security_report(ensemble, args.max_photons, tol)
@@ -202,16 +202,16 @@ def _render_analyze(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_reproduce_a(args, tol: float) -> tuple[dict, int]:
-    result = reproduce_appendix_a(tol)
+def _cmd_reproduce_a(args) -> tuple[dict, int]:
+    result = reproduce_appendix_a(_check_tol(args.tol, 1e-10))
     return {"which": "appendix-a", **result.to_json_dict()}, 0 if result.passed else 2
 
 
 def _render_reproduce_a(payload: dict) -> str:
     lines = ["reproduce appendix-a: the (2,1) Choi block of clifford12", "computed:"]
-    lines += _fmt_matrix(_matrix_from_pairs(payload["computed"]))
+    lines += _fmt_matrix(payload["computed"])
     lines.append("reference:")
-    lines += _fmt_matrix(_matrix_from_pairs(payload["reference"]))
+    lines += _fmt_matrix(payload["reference"])
     lines.append(f"max entry deviation: {payload['max_deviation']:.6e}")
     lines.append(
         f"checksum |C|_F^2: {payload['checksum']:.12f} "
@@ -222,8 +222,8 @@ def _render_reproduce_a(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_reproduce_b(args, tol: float) -> tuple[dict, int]:
-    result = reproduce_appendix_b(args.c, args.alpha, args.beta, tol)
+def _cmd_reproduce_b(args) -> tuple[dict, int]:
+    result = reproduce_appendix_b(args.c, args.alpha, args.beta, _check_tol(args.tol, 1e-10))
     payload = {
         "which": "appendix-b",
         "c": [args.c.real, args.c.imag],
@@ -235,20 +235,20 @@ def _cmd_reproduce_b(args, tol: float) -> tuple[dict, int]:
 
 
 def _render_reproduce_b(payload: dict) -> str:
-    c = complex(*payload["c"])
     lines = [
-        f"reproduce appendix-b: vacuum amplitude c={_fmt_complex(c)}",
+        f"reproduce appendix-b: vacuum amplitude c={_fmt_complex(*payload['c'])}",
         "encrypted output:",
     ]
-    lines += _fmt_matrix(_matrix_from_pairs(payload["output"]))
+    lines += _fmt_matrix(payload["output"])
     lines.append("closed-form reference:")
-    lines += _fmt_matrix(_matrix_from_pairs(payload["reference"]))
+    lines += _fmt_matrix(payload["reference"])
     lines.append(f"deviation: {payload['deviation']:.6e}")
     lines.append(f"verdict: {'match' if payload['passed'] else 'MISMATCH'}")
     return "\n".join(lines)
 
 
-def _cmd_leakage(args, tol: float) -> tuple[dict, int]:
+def _cmd_leakage(args) -> tuple[dict, int]:
+    tol = _check_tol(args.tol, 1e-9)
     _check_bounds("--max-photons", args.max_photons, 1, MAX_PHOTON_BOUND)
     ensemble = load_ensemble(args.ensemble)
     sources = []
@@ -279,7 +279,7 @@ def _render_leakage(payload: dict) -> str:
     )
 
 
-def _cmd_haar(args, tol: float) -> tuple[dict, int]:
+def _cmd_haar(args) -> tuple[dict, int]:
     """The Haar channel's Choi blocks in closed form: C_mn = delta_mn I / (n+1)."""
     _check_bounds("--max-photons", args.max_photons, 0, MAX_PHOTON_BOUND)
     sectors = range(args.max_photons + 1)
@@ -301,18 +301,18 @@ def _render_haar(payload: dict) -> str:
     lines = [f"haar channel Choi operator: max_photons={payload['max_photons']}"]
     for b in payload["blocks"]:
         lines.append(f"block ({b['m']},{b['n']}):")
-        lines += _fmt_matrix(_matrix_from_pairs(b["matrix"]))
+        lines += _fmt_matrix(b["matrix"])
     return "\n".join(lines)
 
 
-def _cmd_lift(args, tol: float) -> tuple[dict, int]:
+def _cmd_lift(args) -> tuple[dict, int]:
     _check_bounds("--n", args.n, 0, MAX_PHOTON_BOUND)
     parts = args.unitary.split(",")
     if len(parts) != 4:
         raise ParseError(f"--unitary needs 4 comma-separated entries, got {len(parts)}")
-    u = as_matrix([[parse_complex(parts[0]), parse_complex(parts[1])],
-                   [parse_complex(parts[2]), parse_complex(parts[3])]])
-    lifted = lift_symmetric(u, args.n, tol)
+    u = np.array([[parse_complex(parts[0]), parse_complex(parts[1])],
+                  [parse_complex(parts[2]), parse_complex(parts[3])]])
+    lifted = lift_symmetric(u, args.n)
     payload = {
         "n": args.n,
         "unitary": _json_pairs(u),
@@ -323,19 +323,19 @@ def _cmd_lift(args, tol: float) -> tuple[dict, int]:
 
 def _render_lift(payload: dict) -> str:
     lines = [f"lift to sector n={payload['n']}:"]
-    lines += _fmt_matrix(_matrix_from_pairs(payload["matrix"]))
+    lines += _fmt_matrix(payload["matrix"])
     return "\n".join(lines)
 
 
-# key: (default --tol, handler, text renderer)
+# key: (handler, text renderer); each handler that decides a verdict checks its --tol first
 _COMMANDS = {
-    "design-check": (1e-9, _cmd_design_check, _render_design_check),
-    "analyze": (1e-9, _cmd_analyze, _render_analyze),
-    "reproduce/appendix-a": (1e-10, _cmd_reproduce_a, _render_reproduce_a),
-    "reproduce/appendix-b": (1e-10, _cmd_reproduce_b, _render_reproduce_b),
-    "leakage": (1e-9, _cmd_leakage, _render_leakage),
-    "haar": (1e-9, _cmd_haar, _render_haar),
-    "lift": (1e-10, _cmd_lift, _render_lift),
+    "design-check": (_cmd_design_check, _render_design_check),
+    "analyze": (_cmd_analyze, _render_analyze),
+    "reproduce/appendix-a": (_cmd_reproduce_a, _render_reproduce_a),
+    "reproduce/appendix-b": (_cmd_reproduce_b, _render_reproduce_b),
+    "leakage": (_cmd_leakage, _render_leakage),
+    "haar": (_cmd_haar, _render_haar),
+    "lift": (_cmd_lift, _render_lift),
 }
 
 
@@ -345,8 +345,8 @@ def main(argv=None) -> int:
         if extras:  # argparse would print them raw, and a token may hold a line break
             raise ParseError(f"unrecognized arguments: {' '.join(map(repr, extras))}")
         key = f"reproduce/{args.which}" if args.command == "reproduce" else args.command
-        default_tol, handler, render = _COMMANDS[key]
-        payload, code = handler(args, _check_tol(args.tol, default_tol))
+        handler, render = _COMMANDS[key]
+        payload, code = handler(args)
     except PhotonPadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

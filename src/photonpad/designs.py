@@ -89,7 +89,7 @@ class WeightedEnsemble:
         ws = np.asarray(self.weights, dtype=np.float64)
         if us.ndim != 3 or us.shape[1:] != (2, 2) or us.shape[0] == 0:
             raise NotUnitaryError(f"expected shape (m, 2, 2), got {us.shape}")
-        _check_qubit_unitaries(us, 1e-10)
+        _check_qubit_unitaries(us)
         if ws.shape != (us.shape[0],):
             raise WeightSumError(f"need {us.shape[0]} weights, got shape {ws.shape}")
         if not np.all(np.isfinite(ws)):
@@ -107,10 +107,6 @@ class WeightedEnsemble:
     @property
     def size(self) -> int:
         return self.unitaries.shape[0]
-
-    def items(self):
-        """Iterate (weight, unitary) pairs."""
-        return zip(self.weights, self.unitaries)
 
 
 def pauli_ensemble() -> WeightedEnsemble:
@@ -279,7 +275,7 @@ def ensemble_to_json_dict(ensemble: WeightedEnsemble) -> dict:
         "name": ensemble.name,
         "elements": [
             {"weight": float(w), "unitary": _json_pairs(u)}
-            for w, u in ensemble.items()
+            for w, u in zip(ensemble.weights, ensemble.unitaries)
         ],
     }
 

@@ -91,14 +91,6 @@ class SectorStructure:
             raise SectorRangeError(f"max_photons must be a non-negative int, got {self.max_photons!r}")
 
     @property
-    def sector_dims(self) -> tuple[int, ...]:
-        return tuple(n + 1 for n in range(self.max_photons + 1))
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return tuple(n * (n + 1) // 2 for n in range(self.max_photons + 1))
-
-    @property
     def total_dim(self) -> int:
         n = self.max_photons
         return (n + 1) * (n + 2) // 2
@@ -198,9 +190,6 @@ class SourceSpec:
         if not isinstance(data, dict):
             raise ParseError("source spec JSON must be an object")
         return cls.from_json_dict(data)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def build_source_state(source: SourceSpec, structure: SectorStructure) -> np.ndarray:

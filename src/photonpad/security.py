@@ -31,7 +31,6 @@ parity.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -112,9 +111,6 @@ class SecurityReport:
             "worst_block": list(self.worst_block),
             "worst_deviation": self.worst_deviation,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def security_report(

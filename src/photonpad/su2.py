@@ -16,7 +16,8 @@ sqrt(k/n) |k-1, n-k>|0> + sqrt((n-k)/n) |k, n-k-1>|1>. One step costs
 O(n^2) per unitary, so a sweep to sector N costs O(N^3) and lifts a whole
 stack of unitaries at once. Every step compresses a unitary through an
 isometry, so rounding error grows about linearly in n. ``lift_symmetric``
-and ``block_lift`` take their sectors from this sweep.
+and ``block_lift`` take their sectors from this sweep. Every input unitary
+must satisfy ||U^dag U - I||_F <= ``UNITARY_TOL``.
 
 Haar averages over U(2) come in two independent forms:
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .errors import (
     SpinRangeError,
 )
 from .fock import SectorStructure, _is_int
-from .linalg import DENSITY_TOL, is_hermitian
+from .linalg import DENSITY_TOL, frobenius
 
 __all__ = [
     "sector_lifts",
@@ -74,15 +75,18 @@ __all__ = [
 ]
 
 
-def _check_qubit_unitaries(us: np.ndarray, tol: float) -> np.ndarray:
-    """Validate a stack of qubit unitaries: ||u^dag u - I||_F <= tol for each."""
+UNITARY_TOL = 1e-10
+
+
+def _check_qubit_unitaries(us: np.ndarray) -> np.ndarray:
+    """Validate a stack of qubit unitaries: ||u^dag u - I||_F <= ``UNITARY_TOL`` for each."""
     us = np.asarray(us, dtype=np.complex128)
     if us.ndim != 3 or us.shape[1:] != (2, 2):
         raise NotUnitaryError(f"expected a stack of 2x2 matrices, got shape {us.shape}")
     # Entries near the float range overflow to an inf or NaN residual, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.linalg.norm(us.conj().transpose(0, 2, 1) @ us - np.eye(2), axis=(1, 2))
-    bad = np.flatnonzero(~(residual <= tol))
+    bad = np.flatnonzero(~(residual <= UNITARY_TOL))
     if bad.size:
         raise NotUnitaryError(f"element {bad[0]} is not unitary within tolerance")
     return us
@@ -96,14 +100,14 @@ def tensor_power(u: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def sector_lifts(unitaries: np.ndarray, top: int, tol: float = 1e-10) -> list[np.ndarray]:
+def sector_lifts(unitaries: np.ndarray, top: int) -> list[np.ndarray]:
     """Lifts of a stack of qubit unitaries to every sector 0..top in one sweep.
 
     ``unitaries`` has shape (m, 2, 2). Returns ``[L_0, ..., L_top]`` with
     ``L_n`` of shape (m, n+1, n+1) in the descending-k Fock basis of sector
     n, built by the recursion L_n(U) = W_n^T (L_{n-1}(U) (x) U) W_n.
     """
-    us = _check_qubit_unitaries(unitaries, tol)
+    us = _check_qubit_unitaries(unitaries)
     if not (_is_int(top) and top >= 0):
         raise SectorRangeError(f"top sector must be a non-negative int, got {top!r}")
     m, top = us.shape[0], int(top)
@@ -125,14 +129,14 @@ def sector_lifts(unitaries: np.ndarray, top: int, tol: float = 1e-10) -> list[np
     return lifts
 
 
-def lift_symmetric(u: np.ndarray, n: int, tol: float = 1e-10) -> np.ndarray:
+def lift_symmetric(u: np.ndarray, n: int) -> np.ndarray:
     """Spin-n/2 lift of a qubit unitary: V_n^dag u^(x n) V_n.
 
     Shape (n+1, n+1) in the descending-k Fock basis of sector n; ``n = 0``
     returns the 1x1 identity. Satisfies L_n(uw) = L_n(u) L_n(w) and
     L_n(u)^dag = L_n(u^dag). Computed by ``sector_lifts``.
     """
-    return sector_lifts(np.asarray(u, dtype=np.complex128)[None], n, tol)[n][0]
+    return sector_lifts(np.asarray(u, dtype=np.complex128)[None], n)[n][0]
 
 
 def block_lift(u: np.ndarray, structure: SectorStructure) -> np.ndarray:
@@ -233,11 +237,6 @@ class HaarQuadrature:
         return acc
 
 
-@lru_cache(maxsize=None)
-def default_quadrature(order: int) -> HaarQuadrature:
-    return HaarQuadrature(order)
-
-
 def _moment(unitaries: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     """sum_j w_j U_j^(x k) (x) conj(U_j)^(x k), a 4^k x 4^k matrix."""
     dim = 4**k
@@ -256,7 +255,7 @@ def haar_moment(k: int) -> np.ndarray:
     """
     if not (_is_int(k) and k >= 1):
         raise QuadratureOrderError(f"moment order k must be a positive int, got {k!r}")
-    quad = default_quadrature(k)
+    quad = HaarQuadrature(k)
     return _moment(quad.unitaries, quad.weights, k)
 
 
@@ -271,7 +270,7 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
         raise NotDensityOperatorError(f"expected shape {(dim, dim)}, got {rho.shape}")
     if not np.all(np.isfinite(rho.view(np.float64))):
         raise NotDensityOperatorError("density operator contains non-finite entries")
-    if not is_hermitian(rho):
+    if frobenius(rho - rho.conj().T) > DENSITY_TOL:
         raise NotDensityOperatorError("density operator is not Hermitian within tolerance")
     if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
         raise NotDensityOperatorError(f"trace {np.trace(rho)!r} is not 1 within tolerance")

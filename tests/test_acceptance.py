@@ -26,7 +26,7 @@ from photonpad.security import (
     reproduce_appendix_b,
     security_report,
 )
-from photonpad.su2 import block_lift, default_quadrature, haar_channel_apply, haar_choi, lift_symmetric, multiplicity
+from photonpad.su2 import HaarQuadrature, block_lift, haar_channel_apply, haar_choi, lift_symmetric, multiplicity
 
 from conftest import antisymmetric_identity_check, random_density, random_state, random_unitary
 
@@ -61,7 +61,7 @@ def test_antisymmetric_singlet_identity():
 
 def test_haar_oracle_consistency(rng):
     s = SectorStructure(3)
-    quad = default_quadrature(3)
+    quad = HaarQuadrature(3)
 
     def twirl(rho):
         return quad.average(lambda u: block_lift(u, s) @ rho @ block_lift(u, s).conj().T)

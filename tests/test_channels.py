@@ -36,7 +36,7 @@ def dense_choi(ensemble, structure):
     """Oracle: the D^2 x D^2 Choi matrix J = sum_j q_j vec L(U_j) vec L(U_j)^dag and its block map."""
     d = structure.total_dim
     j = np.zeros((d * d, d * d), dtype=complex)
-    for w, u in ensemble.items():
+    for w, u in zip(ensemble.weights, ensemble.unitaries):
         v = block_lift(u, structure).reshape(-1)
         j += w * np.outer(v, v.conj())
     return j, as_choi_operator(j, structure)
@@ -62,7 +62,7 @@ def test_apply_channel_matches_dense_loop(rng, top):
     ensemble = WeightedEnsemble([random_unitary(rng) for _ in range(5)], weights / weights.sum())
     rho = random_density(rng, s.total_dim)
     expected = np.zeros_like(rho)
-    for w, u in ensemble.items():
+    for w, u in zip(ensemble.weights, ensemble.unitaries):
         big = np.zeros_like(rho)
         for n in range(top + 1):
             big[s.sector_slice(n), s.sector_slice(n)] = dense_lift(u, n)

@@ -8,7 +8,7 @@ import pytest
 
 import photonpad
 from photonpad.channels import as_choi_operator
-from photonpad.cli import _COMMANDS, main, parse_complex
+from photonpad.cli import _COMMANDS, _fmt_complex, main, parse_complex
 from photonpad.designs import ensemble_to_json_dict
 from photonpad.errors import ParseError
 from photonpad.fock import SectorStructure
@@ -244,7 +244,7 @@ def test_haar_payload_matches_dense_oracle(capsys):
         assert out == json.dumps(expected, indent=2) + "\n"
         code, out, _ = run(capsys, "haar", "--max-photons", str(top), "--format", "text")
         assert code == 0
-        assert out == _COMMANDS["haar"][2](expected) + "\n"
+        assert out == _COMMANDS["haar"][1](expected) + "\n"
 
 
 def test_choi_json_schema(capsys):
@@ -303,19 +303,18 @@ def test_bad_tol_rejected(capsys):
     assert "error" in err
 
 
-EVERY_COMMAND = [
+# the subcommands that decide a verdict, and so take --tol
+VERDICT_COMMANDS = [
     ["design-check", "--ensemble", "pauli", "--k", "1"],
     ["analyze", "--ensemble", "pauli", "--max-photons", "2"],
     ["reproduce", "appendix-a"],
     ["reproduce", "appendix-b", "--c", "0.6", "--alpha", "1", "--beta", "0"],
     ["leakage", "--ensemble", "pauli", "--max-photons", "1", "a.json", "b.json"],
-    ["haar", "--max-photons", "1"],
-    ["lift", "--n", "1", "--unitary", "0,1,1,0"],
 ]
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])
-@pytest.mark.parametrize("argv", EVERY_COMMAND)
+@pytest.mark.parametrize("argv", VERDICT_COMMANDS)
 def test_non_finite_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     monkeypatch.chdir(tmp_path)
     write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 1.0))
@@ -327,7 +326,7 @@ def test_non_finite_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
 
 
 @pytest.mark.parametrize("tol", ["1e300", "0.5"])
-@pytest.mark.parametrize("argv", EVERY_COMMAND)
+@pytest.mark.parametrize("argv", VERDICT_COMMANDS)
 def test_vacuous_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     # A tolerance above 1e-3 would pass order-one deviations: pauli's (2,2)
     # block deviates by sqrt(2) and its k = 3 moments by sqrt(11).
@@ -338,6 +337,15 @@ def test_vacuous_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: tolerance")
+
+
+@pytest.mark.parametrize("tol", ["1e-9", "1e-3", "inf", "nan", "1e300", "0.5"])
+@pytest.mark.parametrize("argv", [["haar", "--max-photons", "1"], ["lift", "--n", "1", "--unitary", "0,1,1,0"]])
+def test_tol_rejected_where_no_verdict_is_decided(capsys, argv, tol):
+    # haar prints closed-form blocks, and lift checks its unitary at the fixed 1e-10
+    code, out, err = run(capsys, *argv, "--tol", tol)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: unrecognized arguments: '--tol' '{tol}'"]
 
 
 def test_largest_tol_accepted(capsys):
@@ -403,6 +411,16 @@ def test_text_format_renders(capsys):
         assert out.strip()
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+
+def test_text_format_has_no_signed_zero(capsys):
+    # a part that rounds to zero prints the same whatever sign the summation order left it
+    assert _fmt_complex(-1e-17, -0.0) == "+0.000000000000+0.000000000000i"
+    assert _fmt_complex(-6e-13, 4e-13) == "-0.000000000001+0.000000000000i"
+    code, out, _ = run(capsys, "reproduce", "appendix-b", "--c", "0.6", "--alpha", "0.8", "--beta", "0.6i",
+                       "--format", "text")
+    assert code == 0
+    assert "+0.000000000000" in out and "-0.000000000000" not in out
 
 
 def test_usage_error_exit_code(capsys):

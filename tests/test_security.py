@@ -130,7 +130,7 @@ def test_report_tolerance_rescales_classification():
 
 def test_report_json_schema():
     rep = security_report(pauli_ensemble(), 1)
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_json_dict()))
     assert d["ensemble"] == "pauli"
     assert d["max_photons"] == 1
     assert d["classification"] == "PARITY_SECURE"

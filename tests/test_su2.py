@@ -18,7 +18,6 @@ from photonpad.su2 import (
     HaarQuadrature,
     block_lift,
     check_density,
-    default_quadrature,
     haar_channel_apply,
     haar_choi,
     haar_moment,
@@ -195,7 +194,7 @@ def test_multiplicity_rejects_bad_spin():
 
 
 def test_quadrature_nodes_are_unitary_and_weights_normalized():
-    q = default_quadrature(2)
+    q = HaarQuadrature(2)
     assert q.node_count == q.unitaries.shape[0]
     assert np.all(q.weights > 0)
     assert np.isclose(q.weights.sum(), 1.0, atol=1e-13)
@@ -234,7 +233,7 @@ def test_haar_moment_matches_higher_order_rule():
 
 
 def test_quadrature_averages_odd_moment_to_zero():
-    q = default_quadrature(1)
+    q = HaarQuadrature(1)
     avg = q.average(lambda u: u)
     assert np.abs(avg).max() < 1e-13
 
