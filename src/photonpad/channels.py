@@ -32,7 +32,7 @@ import numpy as np
 from .designs import WeightedEnsemble
 from .errors import SectorRangeError
 from .fock import SectorStructure, _is_int
-from .su2 import check_density, sector_lifts
+from .su2 import _lift_sweep, check_density
 
 __all__ = [
     "apply_channel",
@@ -51,7 +51,7 @@ def _encrypt(ensemble: WeightedEnsemble, structure: SectorStructure, op: np.ndar
     the q_j L_m(U_j) side by side with the sector-m rows of those products.
     ``op`` may be any D x D operator (the map is linear); callers check states.
     """
-    lifts = sector_lifts(ensemble.unitaries, structure.max_photons)
+    lifts = _lift_sweep(ensemble.unitaries, structure.max_photons)
     s, d = ensemble.size, structure.total_dim
     slices = [structure.sector_slice(n) for n in range(len(lifts))]
     right = np.empty((d, s, d), dtype=np.complex128)  # right[a, j, c] = (op L(U_j)^dag)[a, c]
@@ -79,7 +79,7 @@ def choi_block(ensemble: WeightedEnsemble, m: int, n: int) -> np.ndarray:
     for label, sector in (("m", m), ("n", n)):
         if not (_is_int(sector) and sector >= 0):
             raise SectorRangeError(f"sector {label}={sector!r} must be a non-negative int")
-    lifts = sector_lifts(ensemble.unitaries, max(m, n))
+    lifts = _lift_sweep(ensemble.unitaries, max(m, n))
     a_m = lifts[m].reshape(ensemble.size, -1)
     a_n = lifts[n].reshape(ensemble.size, -1)
     return (ensemble.weights[:, None] * a_m).T @ a_n.conj()

@@ -45,13 +45,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import NotUnitaryError, ParseError, WeightSumError
 from .fock import _is_int, _json_complex, _json_number, _json_pairs
-from .su2 import _check_qubit_unitaries, _moment, multiplicity, sector_lifts
+from .su2 import _check_qubit_unitaries, _lift_sweep, _moment, _multiplicity
 
 __all__ = [
     "WeightedEnsemble",
@@ -85,8 +84,10 @@ class WeightedEnsemble:
     name: str = ""
 
     def __post_init__(self):
-        us = np.asarray(self.unitaries, dtype=np.complex128)
-        ws = np.asarray(self.weights, dtype=np.float64)
+        # Own copies: the caller's arrays stay writeable, and writing to them
+        # cannot change an ensemble that was validated here.
+        us = np.array(self.unitaries, dtype=np.complex128)
+        ws = np.array(self.weights, dtype=np.float64)
         if us.ndim != 3 or us.shape[1:] != (2, 2) or us.shape[0] == 0:
             raise NotUnitaryError(f"expected shape (m, 2, 2), got {us.shape}")
         _check_qubit_unitaries(us)
@@ -219,10 +220,10 @@ def _spin_block_deviation(ensemble: WeightedEnsemble, k: int) -> float:
     """||M_k(e) - M_k(Haar)||_F from the spin blocks of one lift sweep."""
     us = ensemble.unitaries
     det = us[:, 0, 0] * us[:, 1, 1] - us[:, 0, 1] * us[:, 1, 0]
-    lifts = sector_lifts(us / np.sqrt(det)[:, None, None], k)
+    lifts = _lift_sweep(us / np.sqrt(det)[:, None, None], k)
     sectors = range(k % 2, k + 1, 2)
     stacks = {n: lifts[n].reshape(ensemble.size, -1) for n in sectors}
-    mu = {n: multiplicity(k, Fraction(n, 2)) for n in sectors}
+    mu = {n: _multiplicity(k, n) for n in sectors}
     total = 0.0
     for m in sectors:
         weighted = ensemble.weights[:, None] * stacks[m]

@@ -17,7 +17,11 @@ O(n^2) per unitary, so a sweep to sector N costs O(N^3) and lifts a whole
 stack of unitaries at once. Every step compresses a unitary through an
 isometry, so rounding error grows about linearly in n. ``lift_symmetric``
 and ``block_lift`` take their sectors from this sweep. Every input unitary
-must satisfy ||U^dag U - I||_F <= ``UNITARY_TOL``.
+must satisfy ||U^dag U - I||_F <= ``UNITARY_TOL``. These three public
+functions check their raw input on every call. A ``WeightedEnsemble`` is
+checked once, when it is constructed, on its own copy of the arrays, so the
+sweeps inside ``choi_block``, the encryption channel and ``is_k_design``
+run the same recursion (``_lift_sweep``) on the validated stack directly.
 
 Haar averages over U(2) come in two independent forms:
 
@@ -44,6 +48,7 @@ eigenvalue) at the fixed tolerance ``DENSITY_TOL``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,15 +115,32 @@ def sector_lifts(unitaries: np.ndarray, top: int) -> list[np.ndarray]:
     us = _check_qubit_unitaries(unitaries)
     if not (_is_int(top) and top >= 0):
         raise SectorRangeError(f"top sector must be a non-negative int, got {top!r}")
-    m, top = us.shape[0], int(top)
-    roots = np.sqrt(np.arange(top + 1))
+    return _lift_sweep(us, int(top))
+
+
+@functools.cache
+def _column_weights(n: int) -> np.ndarray:
+    """The two nonzeros of each column of W_n, shape (2, n).
+
+    w[0, c] = sqrt((n-c)/n) and w[1, c] = sqrt((c+1)/n). Read-only, since the
+    cache hands the same array to every sweep. Only w is cached: the
+    (2, n, 2, n) outer products of every n up to 200 would hold about 86 MB.
+    """
+    roots = np.sqrt(np.arange(n + 1))
+    w = np.stack((roots[n:0:-1], roots[1 : n + 1])) / roots[n]
+    w.setflags(write=False)
+    return w
+
+
+def _lift_sweep(us: np.ndarray, top: int) -> list[np.ndarray]:
+    """The ``sector_lifts`` recursion on a stack already checked as (m, 2, 2) complex128 unitaries."""
+    m = us.shape[0]
     lifts = [np.ones((m, 1, 1), dtype=np.complex128)]
     for n in range(1, top + 1):
         # Row c of L_{n-1} feeds row c + b of L_n, where b is the last photon's
-        # polarization, with weight w[0, c] = sqrt((n-c)/n) for b = 0
-        # (horizontal) and w[1, c] = sqrt((c+1)/n) for b = 1: the two nonzeros
-        # of W_n. Columns alike, so t[:, b, c, e, d] = U[b, e] w[b, c] w[e, d] L_{n-1}[c, d].
-        w = np.stack((roots[n:0:-1], roots[1 : n + 1])) / roots[n]
+        # polarization, with weight w[0, c] for b = 0 (horizontal) and w[1, c]
+        # for b = 1. Columns alike, so t[:, b, c, e, d] = U[b, e] w[b, c] w[e, d] L_{n-1}[c, d].
+        w = _column_weights(n)
         t = us[:, :, None, :, None] * np.multiply.outer(w, w) * lifts[-1][:, None, :, None, :]
         out = np.zeros((m, n + 1, n + 1), dtype=np.complex128)
         out[:, :n, :n] = t[:, 0, :, 0]
@@ -165,11 +187,17 @@ def multiplicity(k: int, s) -> int:
         raise SpinRangeError(f"spin {s!r} outside 0..{k}/2 for k={k}")
     if two_s % 2 != k % 2:
         raise SpinRangeError(f"spin {s!r} has wrong parity for k={k}")
-    j = (k + two_s) // 2
-    num = (two_s + 1) * math.comb(k, j)
-    if num % (j + 1):
-        raise SpinRangeError(f"multiplicity of spin {s!r} in k={k} is not an integer")
-    return num // (j + 1)
+    return _multiplicity(k, two_s)
+
+
+def _multiplicity(k: int, n: int) -> int:
+    """Multiplicity of spin n/2 in (C^2)^(x k), for 0 <= n <= k with n = k (mod 2).
+
+    The closed form (n+1) C(k, j) / (j+1) with j = (k+n)/2, in integer
+    arithmetic; it is the ballot number C(k, j) - C(k, j+1), so the division is exact.
+    """
+    j = (k + n) // 2
+    return (n + 1) * math.comb(k, j) // (j + 1)
 
 
 @dataclass(frozen=True)

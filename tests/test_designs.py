@@ -69,6 +69,17 @@ def test_ensemble_arrays_are_frozen():
         e.unitaries[0, 0, 0] = 0.0
 
 
+def test_ensemble_keeps_its_own_copies():
+    us = np.stack([np.eye(2), [[0, 1], [1, 0]]]).astype(np.complex128)
+    ws = np.array([0.5, 0.5])
+    e = WeightedEnsemble(us, ws)
+    assert us.flags.writeable and ws.flags.writeable
+    us[0] = 2 * np.eye(2)
+    ws[:] = [2.0, -1.0]
+    assert np.array_equal(e.unitaries[0], np.eye(2))
+    assert np.array_equal(e.weights, [0.5, 0.5])
+
+
 def test_items_pairs_weights_with_unitaries():
     e = pauli_ensemble()
     pairs = list(zip(e.weights, e.unitaries))

@@ -1,11 +1,13 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from photonpad import su2
 from photonpad.channels import choi_block, parity_dephase, photon_number_dephase
-from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
-from photonpad.errors import DimensionError, NormalizationError, NotDensityOperatorError
+from photonpad.designs import WeightedEnsemble, clifford12_ensemble, is_k_design, pauli_ensemble
+from photonpad.errors import DimensionError, NormalizationError, NotDensityOperatorError, NotUnitaryError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
 from photonpad.security import (
     AppendixAReference,
@@ -16,7 +18,7 @@ from photonpad.security import (
     reproduce_appendix_b,
     security_report,
 )
-from photonpad.su2 import block_lift
+from photonpad.su2 import block_lift, lift_symmetric, sector_lifts
 
 from conftest import antisymmetric_identity_check, random_state, random_unitary
 
@@ -270,6 +272,34 @@ def test_leakage_rejects_oversized_source():
     amps = (0.0, 0.0, 1.0)
     with pytest.raises(DimensionError):
         leakage(pauli_ensemble(), source(1, 0, amps), source(0, 1, amps), 1)
+
+
+def test_ensemble_is_validated_once(monkeypatch, rng):
+    original = su2._check_qubit_unitaries
+    calls = []
+
+    def counted(us):
+        calls.append(1)
+        return original(us)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("photonpad") and getattr(module, "_check_qubit_unitaries", None) is original:
+            monkeypatch.setattr(module, "_check_qubit_unitaries", counted)
+    e = WeightedEnsemble(np.stack([random_unitary(rng) for _ in range(5)]), np.full(5, 0.2))
+    assert len(calls) == 1
+    security_report(e, 8)
+    choi_block(e, 2, 1)
+    is_k_design(e, 4)
+    a = source(1, 0, [0.6] + [0.8 / np.sqrt(8)] * 8)
+    b = source(0, 1, [0.6] + [0.8 / np.sqrt(8)] * 8)
+    leakage(e, a, b, 8)
+    assert len(calls) == 1
+    bad = np.array([[1.0, 0.1], [0.0, 1.0]])
+    for lift in (lambda: sector_lifts(bad[None], 2), lambda: lift_symmetric(bad, 2),
+                 lambda: block_lift(bad, SectorStructure(2))):
+        with pytest.raises(NotUnitaryError):
+            lift()
+    assert len(calls) == 4
 
 
 def test_appendix_a_reference_pattern():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -16,6 +17,7 @@ from photonpad.fock import SectorStructure, symmetric_embedding
 from photonpad.linalg import DENSITY_TOL
 from photonpad.su2 import (
     HaarQuadrature,
+    _multiplicity,
     block_lift,
     check_density,
     haar_channel_apply,
@@ -182,6 +184,12 @@ def test_multiplicity_sum_counts_tensor_dimension(k):
     spins = [k / 2 - i for i in range(k // 2 + 1)]
     total = sum(int(2 * s + 1) * multiplicity(k, s) for s in spins)
     assert total == 2**k
+
+
+def test_integer_multiplicity_matches_multiplicity():
+    for k in range(1, 13):
+        for n in range(k % 2, k + 1, 2):
+            assert _multiplicity(k, n) == multiplicity(k, Fraction(n, 2))
 
 
 def test_multiplicity_rejects_bad_spin():
