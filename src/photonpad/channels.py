@@ -21,8 +21,11 @@ ensemble elements, while cross blocks pick up the relative phases between
 the lifts L_m and L_n, which is why element phase conventions are physical
 here.
 
-``apply_channel`` and ``leakage`` encrypt sector by sector from one
-``sector_lifts`` sweep in 2(N+1) GEMMs and never form a D x D lift.
+``apply_channel`` encrypts sector by sector from one ``sector_lifts``
+sweep in 2(N+1) GEMMs and never forms a D x D lift; so does ``leakage``
+through a pre-channel defined outside this module. With no pre-channel or
+with one of the two dephasers below, ``leakage`` lifts nothing: it encrypts
+a pure source by rotating its polarization.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ corresponds to the normalized symmetric state with ``k`` zeros.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -203,17 +204,43 @@ def build_source_state(source: SourceSpec, structure: SectorStructure) -> np.nda
     so the returned vector holds c_n * that expansion in each sector. A
     structure larger than the source zero-pads the high sectors.
     """
+    pol = source.polarization
+    return _source_rows(source, np.array([[pol.alpha, pol.beta]]), structure)[0]
+
+
+@functools.cache
+def _binomial_layout(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Photon number n, horizontal photons k and sqrt(C(n,k)) of each basis state of K(top), in layout order.
+
+    Read-only, since the cache hands the same arrays to every call.
+    """
+    n = SectorStructure(top).photon_numbers
+    k = n - (np.arange(n.size) - n * (n + 1) // 2)
+    roots = np.array([math.sqrt(math.comb(int(a), int(b))) for a, b in zip(n, k)])
+    for array in (n, k, roots):
+        array.setflags(write=False)
+    return n, k, roots
+
+
+def _source_rows(source: SourceSpec, polarizations: np.ndarray, structure: SectorStructure) -> np.ndarray:
+    """The source re-emitted with each polarization of a stack, one state vector per row.
+
+    ``polarizations`` has shape (m, 2), row j holding (alpha_j, beta_j); row j
+    of the (m, total_dim) result is sum_n c_n |phi_n(alpha_j, beta_j)>, the
+    expansion of ``build_source_state``. The polarizations need not be
+    normalized: a lift acts on n identically polarized photons by acting on
+    their polarization, L_n(U)|phi_n(p)> = |phi_n(Up)> for every 2x2 U, so
+    the rows for U_j p are L(U_j) applied to the source with polarization p.
+    """
     if source.max_photons > structure.max_photons:
         raise DimensionError(
             f"source reaches {source.max_photons} photons, structure stops at {structure.max_photons}"
         )
-    alpha, beta = source.polarization.alpha, source.polarization.beta
-    vec = np.zeros(structure.total_dim, dtype=np.complex128)
-    for n, c in enumerate(source.photon_amplitudes):
-        vec[structure.sector_slice(n)] = [
-            c * alpha**k * beta ** (n - k) * math.sqrt(math.comb(n, k)) for k in range(n, -1, -1)
-        ]
-    return vec
+    n, k, roots = _binomial_layout(structure.max_photons)
+    amps = np.zeros(structure.max_photons + 1, dtype=np.complex128)
+    amps[: source.max_photons + 1] = source.photon_amplitudes
+    powers = np.power(polarizations[:, :, None], np.arange(structure.max_photons + 1))
+    return amps[n] * powers[:, 0, k] * powers[:, 1, n - k] * roots
 
 
 def symmetric_embedding(n: int) -> np.ndarray:

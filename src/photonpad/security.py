@@ -18,7 +18,10 @@ turns that into a classification:
 
 ``leakage`` gives the operational counterpart: the trace distance between
 two encrypted sources, i.e. the best distinguishing probability bias an
-eavesdropper can achieve.
+eavesdropper can achieve. A source's photons share one polarization, so a
+rotation encrypts it by rotating that polarization, and the trace norm
+splits over the groups of sectors a dephaser keeps apart; only a
+pre-channel from outside the package needs lifts and a dense D x D output.
 
 The module also packages two fixed reference computations used as
 end-to-end checks (and exposed by the command line as ``reproduce
@@ -37,12 +40,12 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import _encrypt, apply_channel, choi_block
+from .channels import _encrypt, apply_channel, choi_block, parity_dephase, photon_number_dephase
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
-from .fock import PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, build_source_state
+from .fock import PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, _source_rows, build_source_state
 from .linalg import frobenius, trace_norm
-from .su2 import check_density
+from .su2 import _check_pure_density, check_density
 
 __all__ = [
     "Classification",
@@ -154,19 +157,46 @@ def leakage(
     Returns (1/2) || E(rho_a) - E(rho_b) ||_1 in [0, 1]; zero means an
     eavesdropper seeing only ciphertexts cannot tell the sources apart.
     ``pre_channel``, if given, is applied to both plaintext states first
-    (e.g. ``parity_dephase`` with signature (rho, structure)). Each
-    plaintext is checked as a density operator; E is linear, so the
-    difference rho_a - rho_b is encrypted once.
+    (e.g. ``parity_dephase`` with signature (rho, structure)).
+
+    With no pre-channel, ``parity_dephase`` or ``photon_number_dephase``
+    nothing is lifted. A source's photons share one polarization p, so
+    L(U_j) v is the source re-emitted with polarization U_j p; stacking those
+    rows into W gives E(v v^dag) = W^T diag(q) conj(W). Each dephaser keeps
+    only blocks within groups of equal parity or photon number, and E keeps
+    them apart, so the trace norm is the sum of |eigenvalues| of one small
+    Hermitian matrix per group, never a D x D one when dephasing. Each
+    plaintext vector is checked once, which for v v^dag and its pinchings is
+    what ``check_density`` checks. Any other pre-channel takes the dense path:
+    its outputs are checked as density operators, their difference is
+    encrypted once from one lift sweep, and the trace norm is an SVD.
     """
     structure = SectorStructure(max_photons)
-    states = []
+    if pre_channel is None:
+        groups = np.zeros(structure.total_dim, dtype=int)
+    elif pre_channel is parity_dephase:
+        groups = structure.photon_numbers % 2
+    elif pre_channel is photon_number_dephase:
+        groups = structure.photon_numbers
+    else:
+        states = []
+        for source in (source_a, source_b):
+            vec = build_source_state(source, structure)
+            states.append(check_density(pre_channel(np.outer(vec, vec.conj()), structure), structure.total_dim))
+        return 0.5 * trace_norm(_encrypt(ensemble, structure, states[0] - states[1]))
+    rows = []
     for source in (source_a, source_b):
-        vec = build_source_state(source, structure)
-        rho = np.outer(vec, vec.conj())
-        if pre_channel is not None:
-            rho = pre_channel(rho, structure)
-        states.append(check_density(rho, structure.total_dim))
-    return 0.5 * trace_norm(_encrypt(ensemble, structure, states[0] - states[1]))
+        p = np.array([source.polarization.alpha, source.polarization.beta])
+        stacked = _source_rows(source, np.concatenate([p[None], ensemble.unitaries @ p]), structure)
+        _check_pure_density(stacked[0])
+        rows.append(stacked[1:])
+    w = np.concatenate(rows)
+    signed = np.concatenate([ensemble.weights, -ensemble.weights])
+    total = 0.0
+    for group in range(groups.max() + 1):
+        block = w[:, groups == group]
+        total += np.abs(np.linalg.eigvalsh((block.T * signed) @ block.conj())).sum()
+    return 0.5 * float(total)
 
 
 @dataclass(frozen=True)

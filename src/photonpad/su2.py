@@ -311,6 +311,20 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     return rho
 
 
+def _check_pure_density(vec: np.ndarray) -> None:
+    """Validate a state vector v as ``check_density`` validates v v^dag.
+
+    v v^dag, and every pinching of it onto groups of photon-number sectors,
+    is Hermitian and positive semidefinite with trace ||v||^2, so only
+    finiteness and the trace are left to check.
+    """
+    if not np.all(np.isfinite(vec)):
+        raise NotDensityOperatorError("density operator contains non-finite entries")
+    trace = np.vdot(vec, vec).real
+    if abs(trace - 1.0) > DENSITY_TOL:
+        raise NotDensityOperatorError(f"trace {trace!r} is not 1 within tolerance")
+
+
 def haar_channel_apply(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Closed-form Haar-averaged encryption of a state on K(N).
 

@@ -8,7 +8,7 @@ from photonpad import su2
 from photonpad.channels import choi_block, parity_dephase, photon_number_dephase
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, is_k_design, pauli_ensemble
 from photonpad.errors import DimensionError, NormalizationError, NotDensityOperatorError, NotUnitaryError
-from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
+from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, _source_rows, build_source_state
 from photonpad.security import (
     AppendixAReference,
     Classification,
@@ -227,7 +227,7 @@ def test_leakage_matches_dense_two_encryption_oracle(rng, size):
             assert abs(leakage(e, a, b, max_photons, pre_channel=pre) - expected) <= 1e-13
 
 
-@pytest.mark.parametrize("max_photons", [10, 12])
+@pytest.mark.parametrize("max_photons", [10, 12, 20])
 def test_leakage_matches_dense_oracle_past_cli_cap(rng, max_photons):
     weights = rng.random(6) + 0.1
     e = WeightedEnsemble([random_unitary(rng) for _ in range(6)], weights / weights.sum())
@@ -238,14 +238,18 @@ def test_leakage_matches_dense_oracle_past_cli_cap(rng, max_photons):
         assert abs(leakage(e, a, b, max_photons, pre_channel=pre) - expected) <= 1e-13
 
 
-def test_leakage_with_user_pre_channel(rng):
-    # a pre-channel outside the package: conjugation by a fixed block lift
-    fixed = random_unitary(rng)
+def lifted_rotation(u):
+    """A pre-channel outside the package: conjugation by the block lift of a fixed unitary."""
 
     def rotate(rho, structure):
-        lift = block_lift(fixed, structure)
+        lift = block_lift(u, structure)
         return lift @ rho @ lift.conj().T
 
+    return rotate
+
+
+def test_leakage_with_user_pre_channel(rng):
+    rotate = lifted_rotation(random_unitary(rng))
     e = WeightedEnsemble([random_unitary(rng) for _ in range(5)], [0.2] * 5)
     for max_photons in (1, 4, 9):
         a = SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
@@ -266,6 +270,52 @@ def test_leakage_rejects_non_density_pre_channel(pre_channel, message):
     amps = (0.6, 0.0, 0.8)
     with pytest.raises(NotDensityOperatorError, match=f"^{message}"):
         leakage(clifford12_ensemble(), source(1, 0, amps), source(0, 1, amps), 2, pre_channel=pre_channel)
+
+
+def test_leakage_checks_the_plaintext_vector_past_its_norm_tolerance():
+    # |alpha|^2 = 1 + 9.9e-13 passes the polarization check, but ||v||^2 - 1 is about 1.5e-10 at n = 150
+    amps = (0.0,) * 150 + (1.0,)
+    a = source(np.sqrt(1 + 9.9e-13), 0, amps)
+    b = source(0, 1, amps)
+    with pytest.raises(NotDensityOperatorError, match="^trace"):
+        leakage(pauli_ensemble(), a, b, 150, pre_channel=photon_number_dephase)
+
+
+def test_leakage_lifts_only_for_other_pre_channels(monkeypatch, rng):
+    original = su2._lift_sweep
+    calls = []
+
+    def counted(us, top):
+        calls.append(top)
+        return original(us, top)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("photonpad") and getattr(module, "_lift_sweep", None) is original:
+            monkeypatch.setattr(module, "_lift_sweep", counted)
+    e = WeightedEnsemble([random_unitary(rng) for _ in range(5)], [0.2] * 5)
+    a = SourceSpec(random_polarization(rng), tuple(random_state(rng, 5)))
+    b = SourceSpec(random_polarization(rng), tuple(random_state(rng, 5)))
+    for pre in (None, parity_dephase, photon_number_dephase):
+        leakage(e, a, b, 4, pre_channel=pre)
+    assert calls == []
+    leakage(e, a, b, 4, pre_channel=lifted_rotation(random_unitary(rng)))
+    assert len(calls) >= 1
+
+
+@pytest.mark.parametrize("size", [1, 5, 24])
+def test_rotated_source_rows_are_lifted_source(rng, size):
+    # L_n(U)|phi_n(p)> = |phi_n(Up)> for every U(2) element, not only determinant one
+    us = np.stack([random_unitary(rng) for _ in range(size)])
+    assert np.abs(np.linalg.det(us) - 1).max() > 1e-3
+    for max_photons in range(13):
+        s = SectorStructure(max_photons)
+        src = SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
+        p = np.array([src.polarization.alpha, src.polarization.beta])
+        rows = _source_rows(src, us @ p, s)
+        v = build_source_state(src, s)
+        for n, lift in enumerate(sector_lifts(us, max_photons)):
+            sl = s.sector_slice(n)
+            assert np.abs(rows[:, sl] - lift @ v[sl]).max() <= 1e-14
 
 
 def test_leakage_rejects_oversized_source():
