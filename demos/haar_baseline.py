@@ -3,9 +3,10 @@
 Continuously randomizing the polarization rotation maps any input to a
 sector-wise maximally mixed state: all polarization information is erased,
 but the photon-number weights |c_n|^2 pass straight through. Two roads
-lead to the same channel here - a closed-form projector sum and numerical
-integration over the rotation group with an exact quadrature - and they
-agree to machine precision.
+lead to the same channel here - the closed-form Choi operator, a sum of
+sector projectors, applied to the state, and numerical integration over
+the rotation group with an exact quadrature - and they agree to machine
+precision.
 """
 
 import numpy as np
@@ -18,7 +19,6 @@ from photonpad import (
     as_choi_operator,
     block_lift,
     build_source_state,
-    haar_channel_apply,
     haar_choi,
 )
 
@@ -32,21 +32,24 @@ def main():
     psi = build_source_state(src, s)
     rho = np.outer(psi, psi.conj())
 
-    out = haar_channel_apply(rho, s)
+    j = haar_choi(s)
+    d = s.total_dim
+    # J = sum_ij E(|i><j|) (x) |i><j|, so E(rho) sums rho_ij E(|i><j|)
+    out = np.einsum("aibj,ij->ab", j.reshape(d, d, d, d), rho)
     print("input: elliptical polarization, amplitudes (0, 0.6, 0.8)")
-    print("Haar-encrypted output (closed form):")
+    print("Haar-encrypted output (closed-form Choi operator applied to rho):")
     print(np.real(out))
     print("diagonal = photon-number weights spread evenly inside each sector;")
     print("nothing about (alpha, beta) survives, |c_n|^2 does.")
     print()
 
     quad = HaarQuadrature(2)
-    integrated = quad.average(lambda u: block_lift(u, s) @ rho @ block_lift(u, s).conj().T)
-    print(f"quadrature with {quad.node_count} nodes reproduces it to "
+    integrated = sum(w * block_lift(u, s) @ rho @ block_lift(u, s).conj().T
+                     for u, w in zip(quad.unitaries, quad.weights))
+    print(f"quadrature with {len(quad.weights)} nodes reproduces it to "
           f"{np.abs(integrated - out).max():.3e}")
     print()
 
-    j = haar_choi(s)
     print("Choi operator diagnostics:")
     print(f"  trace = {np.trace(j).real:.6f} (= dim K(2) = {s.total_dim})")
     print(f"  min eigenvalue = {np.linalg.eigvalsh(j).min():.3e} (completely positive)")

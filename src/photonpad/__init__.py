@@ -39,7 +39,6 @@ from .errors import (
     PhotonPadError,
     QuadratureOrderError,
     SectorRangeError,
-    SpinRangeError,
     WeightSumError,
 )
 from .fock import (
@@ -62,11 +61,9 @@ from .security import (
 from .su2 import (
     HaarQuadrature,
     block_lift,
-    haar_channel_apply,
     haar_choi,
     haar_moment,
     lift_symmetric,
-    multiplicity,
     sector_lifts,
 )
 
@@ -79,7 +76,6 @@ __all__ = [
     "DimensionError",
     "SectorRangeError",
     "NormalizationError",
-    "SpinRangeError",
     "QuadratureOrderError",
     "ParseError",
     "WeightSumError",
@@ -93,10 +89,8 @@ __all__ = [
     "sector_lifts",
     "lift_symmetric",
     "block_lift",
-    "multiplicity",
     "HaarQuadrature",
     "haar_moment",
-    "haar_channel_apply",
     "haar_choi",
     "WeightedEnsemble",
     "DesignCheck",

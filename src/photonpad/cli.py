@@ -78,21 +78,38 @@ def _fmt_matrix(rows: list) -> list[str]:
     return ["  " + " ".join(_fmt_complex(re, im) for re, im in row) for row in rows]
 
 
-def _check_bounds(flag: str, value: int, lo: int, hi: int) -> None:
-    if not lo <= value <= hi:
-        raise ParseError(f"{flag} must be in [{lo}, {hi}], got {value}")
+def _in_range(kind: type, lo, hi, low_open: bool = False):
+    """An argparse type: ``kind(token)`` within [lo, hi], or (lo, hi] when ``low_open``.
 
-
-def _check_tol(tol: float | None, default: float) -> float:
-    """The --tol value, or ``default`` when it is absent; it must lie in (0, MAX_TOL].
-
-    A larger tolerance would pass deviations of order one, so a verdict at it
-    says nothing: pauli's (2,2) block deviates by sqrt(2).
+    It carries the name of ``kind``, so a token that does not parse still reads
+    "invalid int value: ..."; a value out of range reads "must be in ...".
     """
-    tol = default if tol is None else tol
-    if not 0 < tol <= MAX_TOL:  # NaN fails both comparisons
-        raise ParseError(f"tolerance must be in (0, {MAX_TOL:g}], got {tol}")
-    return tol
+
+    def parse(token: str):
+        value = kind(token)
+        inside = lo < value <= hi if low_open else lo <= value <= hi  # NaN is never inside
+        if not inside:
+            raise argparse.ArgumentTypeError(f"must be in {'(' if low_open else '['}{lo:g}, {hi:g}], got {value}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+# A tolerance above MAX_TOL would pass deviations of order one, so a verdict at
+# it says nothing: pauli's (2,2) block deviates by sqrt(2).
+_TOL = _in_range(float, 0, MAX_TOL, low_open=True)
+
+
+def _unitary(token: str) -> np.ndarray:
+    """Four comma-separated complex literals u00,u01,u10,u11 as a 2x2 matrix."""
+    parts = token.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(f"needs 4 comma-separated entries, got {len(parts)}")
+    try:
+        return np.array([parse_complex(part) for part in parts]).reshape(2, 2)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,53 +123,60 @@ def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--out", default=None, help="write the payload to this file instead of stdout")
     common.add_argument("--format", choices=("json", "text"), default="json")
-    verdict = _Parser(add_help=False, parents=[common])
-    verdict.add_argument("--tol", type=float, default=None, help=f"numerical tolerance, in (0, {MAX_TOL:g}]")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("design-check", parents=[verdict], help="k-design verification")
-    p.add_argument("--ensemble", required=True, help="builtin name (pauli, clifford12) or JSON path")
-    p.add_argument("--k", type=int, required=True, help=f"design order to certify, 1..{MAX_DESIGN_ORDER}")
+    def command(subparsers, name, run, render, tol=None, **kwargs):
+        # Each verdict command declares its own --tol: parsers built from one
+        # parent share its actions, so one default would leak into the others.
+        p = subparsers.add_parser(name, parents=[common], **kwargs)
+        if tol is not None:
+            p.add_argument("--tol", type=_TOL, default=tol, help=f"numerical tolerance, in (0, {MAX_TOL:g}]")
+        p.set_defaults(run=run, render=render)
+        return p
 
-    p = sub.add_parser("analyze", parents=[verdict], help="Choi-block security classification")
+    photons, sector = _in_range(int, 1, MAX_PHOTON_BOUND), _in_range(int, 0, MAX_PHOTON_BOUND)
+    p = command(sub, "design-check", _cmd_design_check, _render_design_check, 1e-9, help="k-design verification")
+    p.add_argument("--ensemble", required=True, help="builtin name (pauli, clifford12) or JSON path")
+    p.add_argument("--k", type=_in_range(int, 1, MAX_DESIGN_ORDER), required=True,
+                   help=f"design order to certify, 1..{MAX_DESIGN_ORDER}")
+
+    p = command(sub, "analyze", _cmd_analyze, _render_analyze, 1e-9, help="Choi-block security classification")
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--max-photons", type=int, default=3)
+    p.add_argument("--max-photons", type=photons, default=3)
 
     rep = sub.add_parser("reproduce", help="built-in reference computations")
     rsub = rep.add_subparsers(dest="which", required=True, parser_class=_Parser)
-    p = rsub.add_parser("appendix-a", parents=[verdict])
-    p = rsub.add_parser("appendix-b", parents=[verdict])
+    command(rsub, "appendix-a", _cmd_reproduce_a, _render_reproduce_a, 1e-10)
+    p = command(rsub, "appendix-b", _cmd_reproduce_b, _render_reproduce_b, 1e-10)
     p.add_argument("--c", type=parse_complex, required=True, help="vacuum amplitude")
     p.add_argument("--alpha", type=parse_complex, required=True)
     p.add_argument("--beta", type=parse_complex, required=True)
 
-    p = sub.add_parser("leakage", parents=[verdict], help="trace distance of two encrypted sources")
+    p = command(sub, "leakage", _cmd_leakage, _render_leakage, 1e-9, help="trace distance of two encrypted sources")
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--max-photons", type=int, default=3)
+    p.add_argument("--max-photons", type=photons, default=3)
     p.add_argument("--dephase", choices=("none", "parity", "photon-number"), default="none",
                    help="dephasing applied to both plaintexts before encryption")
     p.add_argument("source_a", help="source spec JSON file")
     p.add_argument("source_b", help="source spec JSON file")
 
-    p = sub.add_parser("haar", parents=[common], help="Haar channel Choi operator")
-    p.add_argument("--max-photons", type=int, default=3)
+    p = command(sub, "haar", _cmd_haar, _render_haar, help="Haar channel Choi operator")
+    p.add_argument("--max-photons", type=sector, default=3)
 
-    p = sub.add_parser("lift", parents=[common], help="lift a qubit unitary to an n-photon sector")
-    p.add_argument("--n", type=int, required=True, help="photon number")
-    p.add_argument("--unitary", required=True,
+    p = command(sub, "lift", _cmd_lift, _render_lift, help="lift a qubit unitary to an n-photon sector")
+    p.add_argument("--n", type=sector, required=True, help="photon number")
+    p.add_argument("--unitary", type=_unitary, required=True,
                    help="four comma-separated complex literals u00,u01,u10,u11")
     return parser
 
 
 def _cmd_design_check(args) -> tuple[dict, int]:
-    tol = _check_tol(args.tol, 1e-9)
-    _check_bounds("--k", args.k, 1, MAX_DESIGN_ORDER)
     ensemble = load_ensemble(args.ensemble)
-    checks = [is_k_design(ensemble, k, tol) for k in range(1, args.k + 1)]
+    checks = [is_k_design(ensemble, k, args.tol) for k in range(1, args.k + 1)]
     payload = {
         "ensemble": ensemble.name or str(args.ensemble),
         "k": args.k,
-        "tol": tol,
+        "tol": args.tol,
         "key_bits_per_use": key_length(ensemble),
         "checks": [c.to_json_dict() for c in checks],
         "is_design": checks[-1].passed,
@@ -180,10 +204,8 @@ def _render_design_check(payload: dict) -> str:
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
-    tol = _check_tol(args.tol, 1e-9)
-    _check_bounds("--max-photons", args.max_photons, 1, MAX_PHOTON_BOUND)
     ensemble = load_ensemble(args.ensemble)
-    report = security_report(ensemble, args.max_photons, tol)
+    report = security_report(ensemble, args.max_photons, args.tol)
     return report.to_json_dict(), _CLASSIFICATION_EXIT[report.classification]
 
 
@@ -203,7 +225,7 @@ def _render_analyze(payload: dict) -> str:
 
 
 def _cmd_reproduce_a(args) -> tuple[dict, int]:
-    result = reproduce_appendix_a(_check_tol(args.tol, 1e-10))
+    result = reproduce_appendix_a(args.tol)
     return {"which": "appendix-a", **result.to_json_dict()}, 0 if result.passed else 2
 
 
@@ -223,7 +245,7 @@ def _render_reproduce_a(payload: dict) -> str:
 
 
 def _cmd_reproduce_b(args) -> tuple[dict, int]:
-    result = reproduce_appendix_b(args.c, args.alpha, args.beta, _check_tol(args.tol, 1e-10))
+    result = reproduce_appendix_b(args.c, args.alpha, args.beta, args.tol)
     payload = {
         "which": "appendix-b",
         "c": [args.c.real, args.c.imag],
@@ -248,8 +270,6 @@ def _render_reproduce_b(payload: dict) -> str:
 
 
 def _cmd_leakage(args) -> tuple[dict, int]:
-    tol = _check_tol(args.tol, 1e-9)
-    _check_bounds("--max-photons", args.max_photons, 1, MAX_PHOTON_BOUND)
     ensemble = load_ensemble(args.ensemble)
     sources = []
     for path in (args.source_a, args.source_b):
@@ -263,12 +283,12 @@ def _cmd_leakage(args) -> tuple[dict, int]:
     payload = {
         "ensemble": ensemble.name or str(args.ensemble),
         "max_photons": args.max_photons,
-        "tol": tol,
+        "tol": args.tol,
         "dephase": args.dephase,
         "leakage": value,
-        "indistinguishable": value <= tol,
+        "indistinguishable": value <= args.tol,
     }
-    return payload, 0 if value <= tol else 2
+    return payload, 0 if value <= args.tol else 2
 
 
 def _render_leakage(payload: dict) -> str:
@@ -281,7 +301,6 @@ def _render_leakage(payload: dict) -> str:
 
 def _cmd_haar(args) -> tuple[dict, int]:
     """The Haar channel's Choi blocks in closed form: C_mn = delta_mn I / (n+1)."""
-    _check_bounds("--max-photons", args.max_photons, 0, MAX_PHOTON_BOUND)
     sectors = range(args.max_photons + 1)
     blocks = [
         {
@@ -306,16 +325,10 @@ def _render_haar(payload: dict) -> str:
 
 
 def _cmd_lift(args) -> tuple[dict, int]:
-    _check_bounds("--n", args.n, 0, MAX_PHOTON_BOUND)
-    parts = args.unitary.split(",")
-    if len(parts) != 4:
-        raise ParseError(f"--unitary needs 4 comma-separated entries, got {len(parts)}")
-    u = np.array([[parse_complex(parts[0]), parse_complex(parts[1])],
-                  [parse_complex(parts[2]), parse_complex(parts[3])]])
-    lifted = lift_symmetric(u, args.n)
+    lifted = lift_symmetric(args.unitary, args.n)
     payload = {
         "n": args.n,
-        "unitary": _json_pairs(u),
+        "unitary": _json_pairs(args.unitary),
         "matrix": _json_pairs(lifted),
     }
     return payload, 0
@@ -327,30 +340,16 @@ def _render_lift(payload: dict) -> str:
     return "\n".join(lines)
 
 
-# key: (handler, text renderer); each handler that decides a verdict checks its --tol first
-_COMMANDS = {
-    "design-check": (_cmd_design_check, _render_design_check),
-    "analyze": (_cmd_analyze, _render_analyze),
-    "reproduce/appendix-a": (_cmd_reproduce_a, _render_reproduce_a),
-    "reproduce/appendix-b": (_cmd_reproduce_b, _render_reproduce_b),
-    "leakage": (_cmd_leakage, _render_leakage),
-    "haar": (_cmd_haar, _render_haar),
-    "lift": (_cmd_lift, _render_lift),
-}
-
-
 def main(argv=None) -> int:
     try:
         args, extras = _build_parser().parse_known_args(argv)
         if extras:  # argparse would print them raw, and a token may hold a line break
             raise ParseError(f"unrecognized arguments: {' '.join(map(repr, extras))}")
-        key = f"reproduce/{args.which}" if args.command == "reproduce" else args.command
-        handler, render = _COMMANDS[key]
-        payload, code = handler(args)
+        payload, code = args.run(args)
     except PhotonPadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rendered = json.dumps(payload, indent=2) if args.format == "json" else render(payload)
+    rendered = json.dumps(payload, indent=2) if args.format == "json" else args.render(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -7,7 +7,7 @@ conj(U_j)^(x k) equals the Haar one. ``is_k_design`` measures
 ignores a global phase on each element, so every U_j is first scaled to
 determinant one. By Schur-Weyl duality (Gross, Audenaert & Eisert 2007),
 U^(x k) for det U = 1 is a sum of spin blocks L_n(U), for n <= k with
-n = k (mod 2), each repeated mu_k(n) = ``multiplicity(k, n/2)`` times,
+n = k (mod 2), each repeated mu_k(n) = ``su2._multiplicity(k, n)`` times,
 where L_n is the symmetric lift of ``su2.sector_lifts``. Block (m, n) of
 M_k(e) is then a realignment, which keeps Frobenius norms, of the Choi block
 

@@ -25,10 +25,6 @@ class NormalizationError(PhotonPadError):
     """Amplitude vector is not normalized within tolerance."""
 
 
-class SpinRangeError(PhotonPadError):
-    """Spin label is not a valid half-integer for the given tensor order."""
-
-
 class QuadratureOrderError(PhotonPadError):
     """Quadrature rule is too coarse for the requested moment order."""
 

@@ -43,7 +43,7 @@ import numpy as np
 from .channels import _encrypt, apply_channel, choi_block, parity_dephase, photon_number_dephase
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
-from .fock import PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, _source_rows, build_source_state
+from .fock import NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, _source_rows, build_source_state
 from .linalg import frobenius, trace_norm
 from .su2 import _check_pure_density, check_density
 
@@ -323,7 +323,7 @@ def reproduce_appendix_b(
     erases everything except the photon-number distribution.
     """
     c = complex(c)
-    if abs(c) > 1 + 1e-12:
+    if abs(c) * abs(c) - 1.0 > NORM_TOL:  # SourceSpec's sum, so its own norm check cannot fail below
         raise NormalizationError(f"|c| = {abs(c)!r} exceeds 1")
     polarization = PolarizationSpec(alpha, beta)
     weight = min(abs(c) ** 2, 1.0)

@@ -26,8 +26,8 @@ run the same recursion (``_lift_sweep``) on the validated stack directly.
 Haar averages over U(2) come in two independent forms:
 
 * closed form: averaging L(U) rho L(U)^dag over Haar-random U projects each
-  sector onto its maximally mixed state and erases all cross-sector blocks
-  (``haar_channel_apply``, ``haar_choi``);
+  sector onto its maximally mixed state and erases all cross-sector blocks,
+  so ``haar_choi`` is a sum of sector projectors;
 * exact quadrature: ``HaarQuadrature`` integrates any moment of degree
   <= order in U and in conj(U) with zero quadrature error, and
   ``haar_moment`` builds the dense 4^k x 4^k Haar moment operator from it.
@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -61,7 +60,6 @@ from .errors import (
     NotUnitaryError,
     QuadratureOrderError,
     SectorRangeError,
-    SpinRangeError,
 )
 from .fock import SectorStructure, _is_int
 from .linalg import DENSITY_TOL, frobenius
@@ -70,11 +68,9 @@ __all__ = [
     "sector_lifts",
     "lift_symmetric",
     "block_lift",
-    "multiplicity",
     "HaarQuadrature",
     "tensor_power",
     "haar_moment",
-    "haar_channel_apply",
     "haar_choi",
     "check_density",
 ]
@@ -169,27 +165,6 @@ def block_lift(u: np.ndarray, structure: SectorStructure) -> np.ndarray:
     return out
 
 
-def multiplicity(k: int, s) -> int:
-    """Multiplicity of the spin-s irreducible block inside (C^2)^(x k).
-
-    ``s`` may be an int, Fraction, or float equal to a half-integer with the
-    same parity as k (integer spins for even k, half-odd for odd k), with
-    s <= k/2. Closed form: (2s+1)/(k/2+s+1) * C(k, k/2+s), always an integer.
-    The multiplicities satisfy sum_s (2s+1) m_s = 2^k.
-    """
-    if not (_is_int(k) and k >= 1):
-        raise SpinRangeError(f"tensor order k must be a positive int, got {k!r}")
-    two_s = Fraction(s).limit_denominator(2) * 2
-    if two_s.denominator != 1 or Fraction(s) * 2 != two_s:
-        raise SpinRangeError(f"spin {s!r} is not a half-integer")
-    two_s = int(two_s)
-    if two_s < 0 or two_s > k:
-        raise SpinRangeError(f"spin {s!r} outside 0..{k}/2 for k={k}")
-    if two_s % 2 != k % 2:
-        raise SpinRangeError(f"spin {s!r} has wrong parity for k={k}")
-    return _multiplicity(k, two_s)
-
-
 def _multiplicity(k: int, n: int) -> int:
     """Multiplicity of spin n/2 in (C^2)^(x k), for 0 <= n <= k with n = k (mod 2).
 
@@ -251,19 +226,6 @@ class HaarQuadrature:
         """Quadrature weights; they are positive and sum to one."""
         return self._nodes[1]
 
-    @property
-    def node_count(self) -> int:
-        return (2 * self.order + 1) ** 2 * (self.order + 1)
-
-    def average(self, f) -> np.ndarray:
-        """Haar average of a matrix-valued function of U."""
-        us, ws = self._nodes
-        acc = None
-        for u, w in zip(us, ws):
-            term = w * np.asarray(f(u), dtype=np.complex128)
-            acc = term if acc is None else acc + term
-        return acc
-
 
 def _moment(unitaries: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     """sum_j w_j U_j^(x k) (x) conj(U_j)^(x k), a 4^k x 4^k matrix."""
@@ -323,26 +285,6 @@ def _check_pure_density(vec: np.ndarray) -> None:
     trace = np.vdot(vec, vec).real
     if abs(trace - 1.0) > DENSITY_TOL:
         raise NotDensityOperatorError(f"trace {trace!r} is not 1 within tolerance")
-
-
-def haar_channel_apply(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
-    """Closed-form Haar-averaged encryption of a state on K(N).
-
-    Averaging L(U) rho L(U)^dag over Haar-random U gives
-
-        rho' = sum_n tr[rho Pi_n] Pi_n / (n+1):
-
-    every sector collapses to its maximally mixed state weighted by the
-    sector population, and all coherence between different photon numbers
-    is erased.
-    """
-    rho = check_density(rho, structure.total_dim)
-    out = np.zeros_like(rho)
-    for n in range(structure.max_photons + 1):
-        s = structure.sector_slice(n)
-        population = np.trace(rho[s, s]).real
-        out[s, s] = (population / (n + 1)) * np.eye(n + 1)
-    return out
 
 
 def haar_choi(structure: SectorStructure) -> np.ndarray:

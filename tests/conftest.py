@@ -23,6 +23,12 @@ def random_state(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def apply_choi(choi, rho):
+    """E(rho) from the Choi operator J = sum_ij E(|i><j|) (x) |i><j| of a channel E."""
+    d = rho.shape[0]
+    return np.einsum("aibj,ij->ab", choi.reshape(d, d, d, d), rho)
+
+
 def antisymmetric_identity_check():
     """Deviation of clifford12's plain mean of tensor squares from the singlet projector.
 

@@ -26,9 +26,9 @@ from photonpad.security import (
     reproduce_appendix_b,
     security_report,
 )
-from photonpad.su2 import HaarQuadrature, block_lift, haar_channel_apply, haar_choi, lift_symmetric, multiplicity
+from photonpad.su2 import HaarQuadrature, _multiplicity, block_lift, haar_choi, lift_symmetric
 
-from conftest import antisymmetric_identity_check, random_density, random_state, random_unitary
+from conftest import antisymmetric_identity_check, apply_choi, random_density, random_state, random_unitary
 
 
 def _require(failures, condition, message):
@@ -63,18 +63,17 @@ def test_haar_oracle_consistency(rng):
     s = SectorStructure(3)
     quad = HaarQuadrature(3)
 
+    lifts = [block_lift(u, s) for u in quad.unitaries]
+
     def twirl(rho):
-        return quad.average(lambda u: block_lift(u, s) @ rho @ block_lift(u, s).conj().T)
+        return sum(w * big @ rho @ big.conj().T for big, w in zip(lifts, quad.weights))
 
     for _ in range(10):
         rho = random_density(rng, s.total_dim)
-        assert np.abs(twirl(rho) - haar_channel_apply(rho, s)).max() <= 1e-8
+        assert np.abs(twirl(rho) - apply_choi(haar_choi(s), rho)).max() <= 1e-8
 
-    def choi_term(u):
-        v = block_lift(u, s).reshape(-1)
-        return np.outer(v, v.conj())
-
-    assert np.abs(quad.average(choi_term) - haar_choi(s)).max() <= 1e-8
+    vecs = np.stack([big.reshape(-1) for big in lifts])
+    assert np.abs(np.einsum("j,ja,jb->ab", quad.weights, vecs, vecs.conj()) - haar_choi(s)).max() <= 1e-8
 
 
 def test_design_certification():
@@ -257,9 +256,7 @@ def test_leakage_bounds(rng):
                 spec = SourceSpec(PolarizationSpec(pol[0], pol[1]), amps)
                 psi = build_source_state(spec, s)
                 rho_pair.append(np.outer(psi, psi.conj()))
-            value = 0.5 * trace_norm(
-                haar_channel_apply(rho_pair[0], s) - haar_channel_apply(rho_pair[1], s)
-            )
+            value = 0.5 * trace_norm(apply_choi(haar_choi(s), rho_pair[0] - rho_pair[1]))
             _require(
                 failures,
                 value <= 1e-10,
@@ -306,8 +303,7 @@ def test_representation_properties(rng):
             assert np.abs(product - lifted @ lift_symmetric(w, n)).max() <= 1e-12
 
     for k in range(1, 9):
-        spins = [k / 2 - i for i in range(k // 2 + 1)]
-        assert sum(int(2 * s + 1) * multiplicity(k, s) for s in spins) == 2**k
+        assert sum((n + 1) * _multiplicity(k, n) for n in range(k % 2, k + 1, 2)) == 2**k
 
 
 def test_key_length_two_bits():

@@ -9,9 +9,9 @@ from photonpad.channels import (
     photon_number_dephase,
 )
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
-from photonpad.errors import NotDensityOperatorError, QuadratureOrderError, SectorRangeError, SpinRangeError
+from photonpad.errors import NotDensityOperatorError, QuadratureOrderError, SectorRangeError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
-from photonpad.su2 import HaarQuadrature, block_lift, haar_choi, multiplicity
+from photonpad.su2 import HaarQuadrature, block_lift, haar_choi
 
 from conftest import random_density, random_unitary
 from test_su2 import dense_lift
@@ -75,7 +75,6 @@ def test_apply_channel_matches_dense_loop(rng, top):
     [
         (lambda: SectorStructure(True), SectorRangeError),
         (lambda: SectorStructure(2).check_sector(True), SectorRangeError),
-        (lambda: multiplicity(True, 0.5), SpinRangeError),
         (lambda: HaarQuadrature(True), QuadratureOrderError),
         (lambda: choi_block(pauli_ensemble(), True, 0), SectorRangeError),
         (lambda: choi_block(pauli_ensemble(), 0, False), SectorRangeError),

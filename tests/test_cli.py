@@ -8,7 +8,7 @@ import pytest
 
 import photonpad
 from photonpad.channels import as_choi_operator
-from photonpad.cli import _COMMANDS, _fmt_complex, main, parse_complex
+from photonpad.cli import _fmt_complex, _render_haar, main, parse_complex
 from photonpad.designs import ensemble_to_json_dict
 from photonpad.errors import ParseError
 from photonpad.fock import SectorStructure
@@ -164,6 +164,16 @@ def test_reproduce_appendix_b_rejects_oversized_amplitude(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("c, accepted", [("1.0000000000009", False), ("1.0000000000004", True)])
+def test_reproduce_appendix_b_checks_c_by_its_square(capsys, c, accepted):
+    # |c|^2 - 1 is held to the source norm tolerance 1e-12, so the |c| message is the only one
+    code, out, err = run(capsys, "reproduce", "appendix-b", "--c", c, "--alpha", "1", "--beta", "0")
+    if accepted:
+        assert (code, err) == (0, "") and json.loads(out)["passed"] is True
+    else:
+        assert (code, out, err) == (1, "", f"error: |c| = {c} exceeds 1\n")
+
+
 def test_leakage_mixed_parity(capsys, tmp_path):
     a = write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 0.6, 0.8))
     b = write_source(tmp_path, "b.json", 0.0, 1.0, (0.0, 0.6, 0.8))
@@ -244,7 +254,7 @@ def test_haar_payload_matches_dense_oracle(capsys):
         assert out == json.dumps(expected, indent=2) + "\n"
         code, out, _ = run(capsys, "haar", "--max-photons", str(top), "--format", "text")
         assert code == 0
-        assert out == _COMMANDS["haar"][1](expected) + "\n"
+        assert out == _render_haar(expected) + "\n"
 
 
 def test_choi_json_schema(capsys):
@@ -287,7 +297,7 @@ def test_design_order_bound_enforced(capsys, k):
     code, out, err = run(capsys, "design-check", "--ensemble", "pauli", "--k", k)
     assert code == 1
     assert out == ""
-    assert err == f"error: --k must be in [1, 5], got {k}\n"
+    assert err == f"error: argument --k: must be in [1, 5], got {k}\n"
 
 
 def test_unknown_ensemble_fails_cleanly(capsys):
@@ -322,7 +332,7 @@ def test_non_finite_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 1
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: tolerance")
+    assert err == f"error: argument --tol: must be in (0, 0.001], got {tol}\n"
 
 
 @pytest.mark.parametrize("tol", ["1e300", "0.5"])
@@ -336,7 +346,19 @@ def test_vacuous_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 1
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: tolerance")
+    assert err == f"error: argument --tol: must be in (0, 0.001], got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("argv, tol", zip(VERDICT_COMMANDS, [1e-9, 1e-9, 1e-10, 1e-10, 1e-9]))
+def test_default_tol(capsys, tmp_path, monkeypatch, argv, tol):
+    # Each verdict command declares its own --tol: subparsers built from one
+    # parent share its actions, so one command's default would reach the others.
+    monkeypatch.chdir(tmp_path)
+    write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 1.0))
+    write_source(tmp_path, "b.json", 0.0, 1.0, (0.0, 1.0))
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 2, 3)
+    assert json.loads(out)["tol"] == tol
 
 
 @pytest.mark.parametrize("tol", ["1e-9", "1e-3", "inf", "nan", "1e300", "0.5"])

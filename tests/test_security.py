@@ -318,6 +318,19 @@ def test_rotated_source_rows_are_lifted_source(rng, size):
             assert np.abs(rows[:, sl] - lift @ v[sl]).max() <= 1e-14
 
 
+@pytest.mark.parametrize("photons", [60, 99, 100, 120, 150])
+def test_rotated_source_rows_past_the_power_switch(rng, photons):
+    # numpy's complex power switches from repeated squaring to exp/log at
+    # exponent 100; rows of a pure N-photon source stay on the lift either side
+    us = np.stack([random_unitary(rng) for _ in range(10)])
+    s = SectorStructure(photons)
+    sl = s.sector_slice(photons)
+    src = SourceSpec(random_polarization(rng), (0.0,) * photons + (1.0,))
+    p = np.array([src.polarization.alpha, src.polarization.beta])
+    lifted = sector_lifts(us, photons)[photons] @ build_source_state(src, s)[sl]
+    assert np.abs(_source_rows(src, us @ p, s)[:, sl] - lifted).max() <= 5e-14
+
+
 def test_leakage_rejects_oversized_source():
     amps = (0.0, 0.0, 1.0)
     with pytest.raises(DimensionError):
@@ -405,6 +418,10 @@ def test_reproduce_appendix_b_validation():
         reproduce_appendix_b(1.5, 1.0, 0.0)
     with pytest.raises(NormalizationError):
         reproduce_appendix_b(0.6, 1.0, 1.0)
+    # |c|^2 - 1 is held to NORM_TOL, as SourceSpec holds it, so SourceSpec's message never fires first
+    with pytest.raises(NormalizationError, match=r"^\|c\| = 1\.0000000000009 exceeds 1$"):
+        reproduce_appendix_b(1 + 9e-13, 1.0, 0.0)
+    assert reproduce_appendix_b(1 + 4e-13, 1.0, 0.0).passed
 
 
 def test_antisymmetric_identity():

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -11,7 +10,6 @@ from photonpad.errors import (
     NotUnitaryError,
     QuadratureOrderError,
     SectorRangeError,
-    SpinRangeError,
 )
 from photonpad.fock import SectorStructure, symmetric_embedding
 from photonpad.linalg import DENSITY_TOL
@@ -20,16 +18,14 @@ from photonpad.su2 import (
     _multiplicity,
     block_lift,
     check_density,
-    haar_channel_apply,
     haar_choi,
     haar_moment,
     lift_symmetric,
-    multiplicity,
     sector_lifts,
     tensor_power,
 )
 
-from conftest import random_density, random_state, random_unitary
+from conftest import apply_choi, random_density, random_state, random_unitary
 
 
 def dense_lift(u, n):
@@ -170,40 +166,33 @@ def test_block_lift_pauli_z():
 
 
 def test_multiplicity_values():
-    assert multiplicity(2, 1) == 1
-    assert multiplicity(2, 0) == 1
-    assert multiplicity(4, 2) == 1
-    assert multiplicity(4, 1) == 3
-    assert multiplicity(4, 0) == 2
-    assert multiplicity(3, 1.5) == 1
-    assert multiplicity(3, 0.5) == 2
+    # spin n/2 inside (C^2)^(x k)
+    assert _multiplicity(2, 2) == 1
+    assert _multiplicity(2, 0) == 1
+    assert _multiplicity(4, 4) == 1
+    assert _multiplicity(4, 2) == 3
+    assert _multiplicity(4, 0) == 2
+    assert _multiplicity(3, 3) == 1
+    assert _multiplicity(3, 1) == 2
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_multiplicity_sum_counts_tensor_dimension(k):
-    spins = [k / 2 - i for i in range(k // 2 + 1)]
-    total = sum(int(2 * s + 1) * multiplicity(k, s) for s in spins)
+    total = sum((n + 1) * _multiplicity(k, n) for n in range(k % 2, k + 1, 2))
     assert total == 2**k
 
 
-def test_integer_multiplicity_matches_multiplicity():
+def test_multiplicity_is_ballot_number():
+    # spin n/2 appears as often as weight n/2 outnumbers weight n/2 + 1
     for k in range(1, 13):
         for n in range(k % 2, k + 1, 2):
-            assert _multiplicity(k, n) == multiplicity(k, Fraction(n, 2))
-
-
-def test_multiplicity_rejects_bad_spin():
-    with pytest.raises(SpinRangeError):
-        multiplicity(2, 0.5)
-    with pytest.raises(SpinRangeError):
-        multiplicity(2, 2)
-    with pytest.raises(SpinRangeError):
-        multiplicity(0, 1)
+            j = (k + n) // 2
+            assert _multiplicity(k, n) == comb(k, j) - comb(k, j + 1)
 
 
 def test_quadrature_nodes_are_unitary_and_weights_normalized():
     q = HaarQuadrature(2)
-    assert q.node_count == q.unitaries.shape[0]
+    assert len(q.weights) == q.unitaries.shape[0] == 5 * 5 * 3
     assert np.all(q.weights > 0)
     assert np.isclose(q.weights.sum(), 1.0, atol=1e-13)
     eye = np.eye(2)
@@ -236,13 +225,14 @@ def test_haar_moment_matches_higher_order_rule():
         uu = np.kron(u, u)
         return np.kron(uu, uu.conj())
 
-    fine = HaarQuadrature(4).average(second_moment)
+    quad = HaarQuadrature(4)
+    fine = sum(w * second_moment(u) for u, w in zip(quad.unitaries, quad.weights))
     assert np.abs(haar_moment(2) - fine).max() <= 1e-13
 
 
 def test_quadrature_averages_odd_moment_to_zero():
     q = HaarQuadrature(1)
-    avg = q.average(lambda u: u)
+    avg = np.einsum("j,jab->ab", q.weights, q.unitaries)
     assert np.abs(avg).max() < 1e-13
 
 
@@ -252,7 +242,7 @@ def test_haar_channel_erases_polarization(rng):
     rho = np.zeros((s.total_dim, s.total_dim), dtype=complex)
     # place a random pure state in sector 2 with sector-1 coherence
     rho[s.sector_slice(2), s.sector_slice(2)] = np.outer(v, v.conj())
-    out = haar_channel_apply(rho, s)
+    out = apply_choi(haar_choi(s), rho)
     expected = s.projector(2) / 3
     assert np.abs(out - expected).max() < 1e-12
 
@@ -262,16 +252,8 @@ def test_haar_channel_is_covariant(rng):
     rho = random_density(rng, s.total_dim)
     u = random_unitary(rng)
     big = block_lift(u, s)
-    direct = haar_channel_apply(big @ rho @ big.conj().T, s)
-    assert np.abs(direct - haar_channel_apply(rho, s)).max() < 1e-12
-
-
-def test_haar_channel_rejects_bad_input():
-    s = SectorStructure(1)
-    with pytest.raises(NotDensityOperatorError):
-        haar_channel_apply(np.eye(3), s)  # trace 3
-    with pytest.raises(NotDensityOperatorError):
-        haar_channel_apply(np.diag([1.5, -0.5, 0.0]), s)
+    direct = apply_choi(haar_choi(s), big @ rho @ big.conj().T)
+    assert np.abs(direct - apply_choi(haar_choi(s), rho)).max() < 1e-12
 
 
 def spectrum_density(rng, dim, smallest):
