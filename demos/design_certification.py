@@ -48,7 +48,9 @@ def main():
     print(f"  F_3 = {third.frame_potential:.6f} but Haar needs 5; the moment operator")
     print(f"  sits {third.moment_deviation:.6f} away from the Haar projector in Frobenius norm.")
     print(f"  deviation^2 = {third.moment_deviation ** 2:.6f} equals the frame gap "
-          f"{third.frame_gap:.6f}: the two certificates are one identity.")
+          f"{third.frame_gap:.6f}: the two")
+    print("  certificates are one identity, so a failure this clear is read off the")
+    print("  frame gap, with no lift to the spin blocks.")
     print()
     print("consequence: twirling up to two photons is exactly Haar; a third photon")
     print("sees the difference. More key helps only if it buys a higher design order -")

@@ -101,15 +101,20 @@ def _in_range(kind: type, lo, hi, low_open: bool = False):
 _TOL = _in_range(float, 0, MAX_TOL, low_open=True)
 
 
+def _complex(token: str) -> complex:
+    """``parse_complex`` as an argparse type: argparse prints its message, not its name."""
+    try:
+        return parse_complex(token)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _unitary(token: str) -> np.ndarray:
     """Four comma-separated complex literals u00,u01,u10,u11 as a 2x2 matrix."""
     parts = token.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"needs 4 comma-separated entries, got {len(parts)}")
-    try:
-        return np.array([parse_complex(part) for part in parts]).reshape(2, 2)
-    except ParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return np.array([_complex(part) for part in parts]).reshape(2, 2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,9 +153,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rsub = rep.add_subparsers(dest="which", required=True, parser_class=_Parser)
     command(rsub, "appendix-a", _cmd_reproduce_a, _render_reproduce_a, 1e-10)
     p = command(rsub, "appendix-b", _cmd_reproduce_b, _render_reproduce_b, 1e-10)
-    p.add_argument("--c", type=parse_complex, required=True, help="vacuum amplitude")
-    p.add_argument("--alpha", type=parse_complex, required=True)
-    p.add_argument("--beta", type=parse_complex, required=True)
+    p.add_argument("--c", type=_complex, required=True, help="vacuum amplitude")
+    p.add_argument("--alpha", type=_complex, required=True)
+    p.add_argument("--beta", type=_complex, required=True)
 
     p = command(sub, "leakage", _cmd_leakage, _render_leakage, 1e-9, help="trace distance of two encrypted sources")
     p.add_argument("--ensemble", required=True)
@@ -167,6 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=sector, required=True, help="photon number")
     p.add_argument("--unitary", type=_unitary, required=True,
                    help="four comma-separated complex literals u00,u01,u10,u11")
+    # A missing subcommand is reported by metavar, or else by the internal dest.
+    for group in (sub, rsub):
+        group.metavar = "{" + ",".join(group.choices) + "}"
     return parser
 
 

@@ -14,9 +14,12 @@ M_k(e) is then a realignment, which keeps Frobenius norms, of the Choi block
     C_mn = sum_j q_j vec(L_m(U_j)) vec(L_n(U_j))^dag
 
 of ``channels.choi_block``, with Haar value delta_mn I/(n+1). The frame
-potential F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k) is the independent
-cross-check: F_k(e) - F_k(Haar) is the squared moment deviation, with
-F_k(Haar) the Catalan number C(2k, k)/(k+1). The dense ``ensemble_moment``
+potential F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k) gives the same
+number without a lift: F_k(e) - F_k(Haar) is the squared moment deviation,
+with F_k(Haar) the Catalan number C(2k, k)/(k+1). That difference of two
+O(1) numbers cancels to rounding when the deviation is small, so
+``is_k_design`` reads a verdict off the gap only when it fails by a wide
+margin, and takes the spin blocks otherwise. The dense ``ensemble_moment``
 and ``su2.haar_moment`` stay as oracles.
 
 Two built-in ensembles:
@@ -44,7 +47,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +72,7 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-12
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -82,6 +86,8 @@ class WeightedEnsemble:
     unitaries: np.ndarray
     weights: np.ndarray
     name: str = ""
+    # Largest ||U^dag U - I||_F over the elements, as the one validation measured it.
+    _unitarity_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
         # Own copies: the caller's arrays stay writeable, and writing to them
@@ -90,7 +96,7 @@ class WeightedEnsemble:
         ws = np.array(self.weights, dtype=np.float64)
         if us.ndim != 3 or us.shape[1:] != (2, 2) or us.shape[0] == 0:
             raise NotUnitaryError(f"expected shape (m, 2, 2), got {us.shape}")
-        _check_qubit_unitaries(us)
+        object.__setattr__(self, "_unitarity_residual", _check_qubit_unitaries(us))
         if ws.shape != (us.shape[0],):
             raise WeightSumError(f"need {us.shape[0]} weights, got shape {ws.shape}")
         if not np.all(np.isfinite(ws)):
@@ -147,14 +153,26 @@ def _check_order(k) -> None:
         raise ValueError(f"k must be a positive int, got {k!r}")
 
 
+def _frame_potentials(ensemble: WeightedEnsemble, k: int) -> tuple[float, float]:
+    """(F_{k-1}(e), F_k(e)) from one table of |tr(U_i^dag U_j)|^2.
+
+    The powers are repeated products, so F_k carries k - 1 roundings of the
+    table and F_{k-1} one fewer; ``_gap_bound`` counts them.
+    """
+    flat = ensemble.unitaries.reshape(ensemble.size, 4)
+    overlaps = flat.conj() @ flat.T  # tr(U_i^dag U_j)
+    squares = overlaps.real**2 + overlaps.imag**2
+    power = np.ones_like(squares)
+    for _ in range(k - 1):
+        power *= squares
+    ws = ensemble.weights
+    return float(ws @ power @ ws), float(ws @ (power * squares) @ ws)
+
+
 def frame_potential(ensemble: WeightedEnsemble, k: int) -> float:
     """F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k)."""
     _check_order(k)
-    us, ws = ensemble.unitaries, ensemble.weights
-    # overlaps[i, j] = tr(U_i^dag U_j)
-    overlaps = np.einsum("iab,jab->ij", us.conj(), us)
-    powers = np.abs(overlaps) ** (2 * k)
-    return float(np.einsum("i,ij,j->", ws, powers, ws).real)
+    return _frame_potentials(ensemble, int(k))[1]
 
 
 def haar_frame_potential(k: int) -> float:
@@ -178,8 +196,10 @@ class DesignCheck:
     """Outcome of a k-design test for one ensemble and one order k.
 
     The verdict is the moment-operator criterion: the ensemble is a k-design
-    when ||M_k(e) - M_k(Haar)||_F <= tol. The frame-potential gap is carried
-    as an independent cross-check; it equals the squared moment deviation.
+    when ||M_k(e) - M_k(Haar)||_F <= tol. The frame-potential gap equals the
+    squared moment deviation. Where the spin blocks decide (every passing
+    check, and failures near tol) it is an independent cross-check; where
+    the gap decided a clear failure, moment_deviation is sqrt(frame_gap).
     ``frame_passed`` compares that squared norm with the same tol, so it is
     also True when tol < moment_deviation <= sqrt(tol): only ``passed``
     decides the verdict.
@@ -236,6 +256,40 @@ def _spin_block_deviation(ensemble: WeightedEnsemble, k: int) -> float:
     return math.sqrt(total)
 
 
+def _gap_bound(ensemble: WeightedEnsemble, k: int, lower: float, potential: float, haar: float) -> float:
+    """B >= |fl(F_k(e) - F_k(Haar)) - deviation^2|, deviation being the spin-block one.
+
+    ``lower`` and ``potential`` are F_{k-1}(e) and F_k(e) from ``_frame_potentials``;
+    u is the unit roundoff, s the ensemble size, r its largest unitarity
+    residual and C_k = F_k(Haar). Three terms:
+
+    * rounding, to first order in u, constants rounded up. An overlap t is a
+      complex 4-term dot product, off by at most
+      sqrt(2) gamma_8 ||U_i||_F ||U_j||_F = 16 sqrt(2) u, so |t|^(2k) is off
+      by 32 sqrt(2) k u |t|^(2k-1), and sum q_i q_j |t|^(2k-1) <=
+      sqrt(F_k F_{k-1}) (Cauchy-Schwarz). Squaring the table adds 2k u
+      relative, the k - 1 products (k - 1) u, the two weighted sums 2s u, and
+      the subtraction of C_k and the sum tol^2 + B the screen compares with
+      at most 3u F_k.
+    * unitarity: the spin blocks see U_j / sqrt(det U_j). With
+      rho = (r + 16u) / sqrt(2) (16u covers the rounding of r), |det U_j| is
+      in [1 - rho, 1 + rho], which moves F_k by at most
+      ((1 - rho)^(-2k) - 1) F_k; the scaled U_j has singular values e^(+-t) with
+      2t <= atanh(rho), which moves the Haar cross term by at most
+      2 (sum q) C_k (cosh(k atanh(rho)) - 1).
+    * weights: the cross term assumes sum q = 1 and is off by 2 |sum q - 1| C_k.
+    """
+    u = _UNIT_ROUNDOFF
+    rounding = u * (46 * k * math.sqrt(potential * lower) + (3 * k + 2 * ensemble.size + 4) * potential)
+    rho = (ensemble._unitarity_residual + 16 * u) / math.sqrt(2)
+    total = math.fsum(ensemble.weights.tolist())
+    unitarity = (
+        math.expm1(-2 * k * math.log1p(-rho)) * potential
+        + 4 * total * haar * math.sinh(k * math.atanh(rho) / 2) ** 2
+    )
+    return rounding + unitarity + 2 * (abs(total - 1) + u) * haar
+
+
 def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> DesignCheck:
     """Test whether an ensemble reproduces Haar moments at order k.
 
@@ -246,18 +300,34 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
     over m, n <= k with m = n = k (mod 2), where C_mn is the Choi block of
     the ensemble scaled to determinant one (module docstring). One lift
     sweep to sector k gives every block; each block difference is formed
-    directly, so a vanishing deviation comes out at rounding. The
-    frame-potential gap is recorded alongside. A k-design is a design at
-    every lower order, so checking the target order suffices.
+    directly, so a vanishing deviation comes out at rounding.
+
+    The frame-potential gap comes first, from one s x s table of
+    |tr(U_i^dag U_j)|^2. It decides a check only when it fails clearly:
+    gap > tol^2 + B and B <= 1e-12 gap, where B (``_gap_bound``) bounds
+    |fl(gap) - deviation^2| from the rounding of the table and of its
+    sums, from the ensemble's measured unitarity residual and from its
+    weight sum. The first condition makes the deviation exceed tol at any
+    tol; the second keeps moment_deviation = sqrt(gap) within about 5e-13
+    relative of the spin-block value. Every other check, every passing one
+    included, takes the spin blocks, and a NaN never satisfies the screen.
+    A k-design is a design at every lower order, so checking the target
+    order suffices.
     """
     _check_order(k)
-    return DesignCheck(
-        k=int(k),
-        moment_deviation=_spin_block_deviation(ensemble, int(k)),
-        frame_potential=frame_potential(ensemble, k),
-        haar_frame_potential=haar_frame_potential(k),
-        tol=float(tol),
-    )
+    k, tol = int(k), float(tol)
+    lower, potential = _frame_potentials(ensemble, k)
+    haar = haar_frame_potential(k)
+    gap = potential - haar
+    bound = _gap_bound(ensemble, k, lower, potential, haar)
+    # A clear failure: deviation^2 >= gap - bound > tol^2 at any tol, and
+    # sqrt(gap) is within 5e-13 relative of the deviation. NaN compares False.
+    if gap > tol * tol + bound and bound <= 1e-12 * gap:
+        deviation = math.sqrt(gap)
+    else:
+        deviation = _spin_block_deviation(ensemble, k)
+    return DesignCheck(k=k, moment_deviation=deviation, frame_potential=potential,
+                       haar_frame_potential=haar, tol=tol)
 
 
 def key_length(ensemble: WeightedEnsemble) -> float:

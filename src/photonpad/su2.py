@@ -79,18 +79,22 @@ __all__ = [
 UNITARY_TOL = 1e-10
 
 
-def _check_qubit_unitaries(us: np.ndarray) -> np.ndarray:
-    """Validate a stack of qubit unitaries: ||u^dag u - I||_F <= ``UNITARY_TOL`` for each."""
+def _check_qubit_unitaries(us: np.ndarray) -> float:
+    """Validate a stack of qubit unitaries: ||u^dag u - I||_F <= ``UNITARY_TOL`` for each.
+
+    Returns the largest of those residuals.
+    """
     us = np.asarray(us, dtype=np.complex128)
     if us.ndim != 3 or us.shape[1:] != (2, 2):
         raise NotUnitaryError(f"expected a stack of 2x2 matrices, got shape {us.shape}")
     # Entries near the float range overflow to an inf or NaN residual, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.linalg.norm(us.conj().transpose(0, 2, 1) @ us - np.eye(2), axis=(1, 2))
-    bad = np.flatnonzero(~(residual <= UNITARY_TOL))
-    if bad.size:
-        raise NotUnitaryError(f"element {bad[0]} is not unitary within tolerance")
-    return us
+    worst = float(residual.max(initial=0.0))  # NaN if any residual is NaN
+    if not worst <= UNITARY_TOL:
+        bad = np.flatnonzero(~(residual <= UNITARY_TOL))[0]
+        raise NotUnitaryError(f"element {bad} is not unitary within tolerance")
+    return worst
 
 
 def tensor_power(u: np.ndarray, k: int) -> np.ndarray:
@@ -108,7 +112,8 @@ def sector_lifts(unitaries: np.ndarray, top: int) -> list[np.ndarray]:
     ``L_n`` of shape (m, n+1, n+1) in the descending-k Fock basis of sector
     n, built by the recursion L_n(U) = W_n^T (L_{n-1}(U) (x) U) W_n.
     """
-    us = _check_qubit_unitaries(unitaries)
+    us = np.asarray(unitaries, dtype=np.complex128)
+    _check_qubit_unitaries(us)
     if not (_is_int(top) and top >= 0):
         raise SectorRangeError(f"top sector must be a non-negative int, got {top!r}")
     return _lift_sweep(us, int(top))

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from photonpad import su2
 from photonpad.designs import clifford12_ensemble
 
 
@@ -47,3 +50,19 @@ def antisymmetric_identity_check():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def lift_sweeps(monkeypatch):
+    """The top sector of every ``su2._lift_sweep`` call the test makes, counted at every binding."""
+    original = su2._lift_sweep
+    calls = []
+
+    def counted(us, top):
+        calls.append(top)
+        return original(us, top)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("photonpad") and getattr(module, "_lift_sweep", None) is original:
+            monkeypatch.setattr(module, "_lift_sweep", counted)
+    return calls

@@ -174,6 +174,24 @@ def test_reproduce_appendix_b_checks_c_by_its_square(capsys, c, accepted):
         assert (code, out, err) == (1, "", f"error: |c| = {c} exceeds 1\n")
 
 
+@pytest.mark.parametrize("flag", ["--c", "--alpha", "--beta"])
+def test_reproduce_appendix_b_names_the_bad_complex_literal(capsys, flag):
+    argv = {"--c": "0.6", "--alpha": "1", "--beta": "0", flag: "q"}
+    code, out, err = run(capsys, "reproduce", "appendix-b", *[t for pair in argv.items() for t in pair])
+    assert (code, out) == (1, "")
+    assert err == f"error: argument {flag}: bad complex literal 'q'\n"
+
+
+@pytest.mark.parametrize("argv, choices", [
+    ([], "{design-check,analyze,reproduce,leakage,haar,lift}"),
+    (["reproduce"], "{appendix-a,appendix-b}"),
+], ids=["photonpad", "reproduce"])
+def test_missing_subcommand_lists_the_choices(capsys, argv, choices):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: the following arguments are required: {choices}\n"
+
+
 def test_leakage_mixed_parity(capsys, tmp_path):
     a = write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 0.6, 0.8))
     b = write_source(tmp_path, "b.json", 0.0, 1.0, (0.0, 0.6, 0.8))

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonpad.designs import (
+    WEIGHT_TOL,
     WeightedEnsemble,
+    _frame_potentials,
+    _gap_bound,
+    _spin_block_deviation,
     builtin_ensembles,
     clifford12_ensemble,
     ensemble_from_json_dict,
@@ -21,7 +27,7 @@ from photonpad.designs import (
 )
 from photonpad.errors import NotUnitaryError, ParseError, WeightSumError
 from photonpad.linalg import frobenius
-from photonpad.su2 import HaarQuadrature, haar_moment
+from photonpad.su2 import UNITARY_TOL, HaarQuadrature, haar_moment
 
 from conftest import random_unitary
 
@@ -183,6 +189,8 @@ def test_spin_block_deviation_matches_dense_moments(rng):
         for e in ensembles:
             dense = frobenius(ensemble_moment(e, k) - haar)
             assert abs(is_k_design(e, k).moment_deviation - dense) <= 1e-13 * max(1.0, dense)
+            # the exact path itself, also where is_k_design screens the check
+            assert abs(_spin_block_deviation(e, k) - dense) <= 1e-13 * max(1.0, dense)
 
 
 def test_quadrature_nodes_with_random_phases_are_designs(rng):
@@ -331,3 +339,106 @@ def test_from_json_dict_reports_bad_element_index():
     for data in ({"name": 7, "elements": []}, {"elements": 5}):
         with pytest.raises(ParseError):
             ensemble_from_json_dict(data)
+
+
+def gap_and_bound(e, k):
+    lower, potential = _frame_potentials(e, k)
+    haar = haar_frame_potential(k)
+    return potential - haar, _gap_bound(e, k, lower, potential, haar)
+
+
+def test_clear_failures_are_decided_without_a_lift_sweep(lift_sweeps):
+    for name, k in [("clifford12", 3), ("clifford12", 4), ("clifford12", 5), ("pauli", 2), ("pauli", 3),
+                    ("pauli", 4), ("pauli", 5)]:
+        check = is_k_design(load_ensemble(name), k)
+        assert not check.passed
+        assert check.moment_deviation == math.sqrt(check.frame_gap)
+    assert lift_sweeps == []
+    for name, k in [("pauli", 1), ("clifford12", 1), ("clifford12", 2)]:
+        assert is_k_design(load_ensemble(name), k).passed
+    assert lift_sweeps == [1, 1, 2]
+
+
+@pytest.mark.parametrize("angle", [1.0, 0.3, 0.1, 3e-6] + [10.0**-p for p in range(2, 13)])
+def test_screen_leaves_the_band_to_the_exact_path(lift_sweeps, angle):
+    # Only a gap far above tol^2 + B with B <= 1e-12 gap is decided from the
+    # gap; small rotations (3e-6: deviation 2e-6, gap 4e-12) take the spin blocks.
+    e = rotated_clifford12(angle)
+    exact = _spin_block_deviation(e, 2)
+    lift_sweeps.clear()
+    check = is_k_design(e, 2)
+    gap, bound = gap_and_bound(e, 2)
+    screened = gap > 1e-9**2 + bound and bound <= 1e-12 * gap
+    assert lift_sweeps == ([] if screened else [2])
+    assert screened == (angle >= 0.3)
+    assert check.passed == (exact <= 1e-9)
+    assert abs(check.moment_deviation - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 1.0, math.sqrt(2), 1.5, 1e300, math.inf, math.nan])
+def test_screen_verdict_matches_the_exact_path_at_any_tol(tol):
+    # pauli's second-moment deviation is sqrt(2), gap 2: the screen fails it
+    # only for tol^2 + B < 2, and the Python API takes tolerances of any size.
+    pauli = pauli_ensemble()
+    assert is_k_design(pauli, 2, tol).passed == (_spin_block_deviation(pauli, 2) <= tol)
+
+
+@pytest.mark.parametrize("name, k", [("clifford12", 3), ("pauli", 2)])
+def test_screen_verdict_matches_the_exact_path_next_to_the_deviation(name, k):
+    # sqrt(gap) and the spin-block deviation differ in their last bits; a tol
+    # between them is within B of the gap, so the exact path decides it.
+    e = load_ensemble(name)
+    exact = _spin_block_deviation(e, k)
+    lo, hi = sorted((exact, is_k_design(e, k).moment_deviation))
+    assert lo < hi
+    ulp = np.spacing(hi)
+    for step in range(-4, round((hi - lo) / ulp) + 5):
+        tol = lo + step * ulp
+        assert is_k_design(e, k, tol).passed == (exact <= tol)
+
+
+def exact_frame_potential(e, k):
+    """F_k(e) in rational arithmetic on the ensemble's floats."""
+    rows = [[(Fraction(z.real), Fraction(z.imag)) for z in u.ravel()] for u in e.unitaries]
+    weights = [Fraction(w) for w in e.weights]
+    total = Fraction(0)
+    for qi, ui in zip(weights, rows):
+        for qj, uj in zip(weights, rows):
+            re = sum(a * c + b * d for (a, b), (c, d) in zip(ui, uj))
+            im = sum(a * d - b * c for (a, b), (c, d) in zip(ui, uj))
+            total += qi * qj * (re * re + im * im) ** k
+    return total
+
+
+def test_gap_bound_covers_the_rounding_of_the_frame_potential(rng):
+    ensembles = [pauli_ensemble(), clifford12_ensemble()] + [_random_ensemble(rng, s) for s in (1, 3, 8)]
+    for e in ensembles:
+        for k in (1, 2, 3, 4, 5):
+            gap, bound = gap_and_bound(e, k)
+            assert abs(Fraction(gap) - (exact_frame_potential(e, k) - Fraction(haar_frame_potential(k)))) <= bound
+
+
+def perturbed(rng, e, residual, weight_sum=1.0):
+    """Each element times I + eps A, scaled to ||U^dag U - I||_F = residual; weights scaled to weight_sum."""
+    us = []
+    for u in e.unitaries:
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        a = a + a.conj().T if rng.random() < 0.5 else a  # a Hermitian A moves |det U| the most
+        v = u @ (np.eye(2) + 1e-11 * a)
+        v = u @ (np.eye(2) + 1e-11 * a * residual / np.linalg.norm(v.conj().T @ v - np.eye(2)))
+        us.append(v)
+    return WeightedEnsemble(us, e.weights * weight_sum)
+
+
+def test_gap_bound_covers_unitarity_and_weight_slack(rng):
+    # The gap equals deviation^2 only for unitary elements and weights summing
+    # to one; the validation allows 1e-10 and 1e-12 off, and B must cover both.
+    bases = [pauli_ensemble(), clifford12_ensemble()] + [_random_ensemble(rng, s) for s in (1, 5, 12)]
+    for base in bases:
+        for residual, weight_sum in ((0.9 * UNITARY_TOL, 1.0), (0.0, 1 + 0.9 * WEIGHT_TOL), (0.0, 1 - 0.9 * WEIGHT_TOL)):
+            e = perturbed(rng, base, residual, weight_sum)
+            assert abs(e._unitarity_residual - residual) <= 1e-15
+            for k in (1, 2, 3, 4, 5):
+                gap, bound = gap_and_bound(e, k)
+                assert abs(gap - _spin_block_deviation(e, k) ** 2) <= bound
+

@@ -281,25 +281,15 @@ def test_leakage_checks_the_plaintext_vector_past_its_norm_tolerance():
         leakage(pauli_ensemble(), a, b, 150, pre_channel=photon_number_dephase)
 
 
-def test_leakage_lifts_only_for_other_pre_channels(monkeypatch, rng):
-    original = su2._lift_sweep
-    calls = []
-
-    def counted(us, top):
-        calls.append(top)
-        return original(us, top)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("photonpad") and getattr(module, "_lift_sweep", None) is original:
-            monkeypatch.setattr(module, "_lift_sweep", counted)
+def test_leakage_lifts_only_for_other_pre_channels(lift_sweeps, rng):
     e = WeightedEnsemble([random_unitary(rng) for _ in range(5)], [0.2] * 5)
     a = SourceSpec(random_polarization(rng), tuple(random_state(rng, 5)))
     b = SourceSpec(random_polarization(rng), tuple(random_state(rng, 5)))
     for pre in (None, parity_dephase, photon_number_dephase):
         leakage(e, a, b, 4, pre_channel=pre)
-    assert calls == []
+    assert lift_sweeps == []
     leakage(e, a, b, 4, pre_channel=lifted_rotation(random_unitary(rng)))
-    assert len(calls) >= 1
+    assert len(lift_sweeps) >= 1
 
 
 @pytest.mark.parametrize("size", [1, 5, 24])
