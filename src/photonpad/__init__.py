@@ -10,110 +10,25 @@ of one lift sweep, and classifies schemes as SECURE, PARITY_SECURE, or
 INSECURE depending on which Choi blocks match the Haar channel.
 """
 
-from .channels import (
-    apply_channel,
-    as_choi_operator,
-    choi_block,
-    parity_dephase,
-    photon_number_dephase,
-)
-from .designs import (
-    DesignCheck,
-    WeightedEnsemble,
-    builtin_ensembles,
-    clifford12_ensemble,
-    ensemble_moment,
-    frame_potential,
-    haar_frame_potential,
-    is_k_design,
-    key_length,
-    load_ensemble,
-    pauli_ensemble,
-)
-from .errors import (
-    DimensionError,
-    NormalizationError,
-    NotDensityOperatorError,
-    NotUnitaryError,
-    ParseError,
-    PhotonPadError,
-    QuadratureOrderError,
-    SectorRangeError,
-    WeightSumError,
-)
-from .fock import (
-    PolarizationSpec,
-    SectorStructure,
-    SourceSpec,
-    build_source_state,
-    symmetric_embedding,
-)
-from .linalg import frobenius, trace_norm
-from .security import (
-    AppendixAReference,
-    Classification,
-    SecurityReport,
-    leakage,
-    reproduce_appendix_a,
-    reproduce_appendix_b,
-    security_report,
-)
-from .su2 import (
-    HaarQuadrature,
-    block_lift,
-    haar_choi,
-    haar_moment,
-    lift_symmetric,
-    sector_lifts,
-)
+from . import channels, designs, errors, fock, linalg, security, su2
+from .channels import *  # noqa: F403
+from .designs import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fock import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .security import *  # noqa: F403
+from .su2 import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "PhotonPadError",
-    "NotUnitaryError",
-    "NotDensityOperatorError",
-    "DimensionError",
-    "SectorRangeError",
-    "NormalizationError",
-    "QuadratureOrderError",
-    "ParseError",
-    "WeightSumError",
-    "frobenius",
-    "trace_norm",
-    "SectorStructure",
-    "PolarizationSpec",
-    "SourceSpec",
-    "build_source_state",
-    "symmetric_embedding",
-    "sector_lifts",
-    "lift_symmetric",
-    "block_lift",
-    "HaarQuadrature",
-    "haar_moment",
-    "haar_choi",
-    "WeightedEnsemble",
-    "DesignCheck",
-    "pauli_ensemble",
-    "clifford12_ensemble",
-    "builtin_ensembles",
-    "frame_potential",
-    "haar_frame_potential",
-    "ensemble_moment",
-    "is_k_design",
-    "key_length",
-    "load_ensemble",
-    "apply_channel",
-    "choi_block",
-    "as_choi_operator",
-    "parity_dephase",
-    "photon_number_dephase",
-    "Classification",
-    "SecurityReport",
-    "security_report",
-    "leakage",
-    "AppendixAReference",
-    "reproduce_appendix_a",
-    "reproduce_appendix_b",
+    *errors.__all__,
+    *linalg.__all__,
+    *fock.__all__,
+    *su2.__all__,
+    *designs.__all__,
+    *channels.__all__,
+    *security.__all__,
     "__version__",
 ]

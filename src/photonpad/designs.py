@@ -52,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotUnitaryError, ParseError, WeightSumError
-from .fock import _is_int, _json_complex, _json_number, _json_pairs
-from .su2 import _check_qubit_unitaries, _lift_sweep, _moment, _multiplicity
+from .fock import _is_int, _json_complex, _json_number
+from .su2 import _check_qubit_unitaries, _choi_block, _haar_block, _lift_sweep, _moment, _multiplicity
 
 __all__ = [
     "WeightedEnsemble",
@@ -66,8 +66,6 @@ __all__ = [
     "ensemble_moment",
     "is_k_design",
     "key_length",
-    "ensemble_to_json_dict",
-    "ensemble_from_json_dict",
     "load_ensemble",
 ]
 
@@ -242,15 +240,11 @@ def _spin_block_deviation(ensemble: WeightedEnsemble, k: int) -> float:
     det = us[:, 0, 0] * us[:, 1, 1] - us[:, 0, 1] * us[:, 1, 0]
     lifts = _lift_sweep(us / np.sqrt(det)[:, None, None], k)
     sectors = range(k % 2, k + 1, 2)
-    stacks = {n: lifts[n].reshape(ensemble.size, -1) for n in sectors}
     mu = {n: _multiplicity(k, n) for n in sectors}
     total = 0.0
     for m in sectors:
-        weighted = ensemble.weights[:, None] * stacks[m]
         for n in range(m, k + 1, 2):
-            block = weighted.T @ stacks[n].conj()
-            if m == n:
-                block -= np.eye((n + 1) ** 2) / (n + 1)
+            block = _choi_block(lifts, ensemble.weights, m, n) - _haar_block(m, n)
             # (m, n) and (n, m) blocks are adjoints of each other
             total += (1 if m == n else 2) * mu[m] * mu[n] * np.vdot(block, block).real
     return math.sqrt(total)
@@ -340,18 +334,8 @@ def key_length(ensemble: WeightedEnsemble) -> float:
     return float(-(ws * np.log2(ws)).sum())
 
 
-def ensemble_to_json_dict(ensemble: WeightedEnsemble) -> dict:
-    """Schema: {"name": str, "elements": [{"weight": w, "unitary": [[[re,im],...],...]}]}."""
-    return {
-        "name": ensemble.name,
-        "elements": [
-            {"weight": float(w), "unitary": _json_pairs(u)}
-            for w, u in zip(ensemble.weights, ensemble.unitaries)
-        ],
-    }
-
-
 def ensemble_from_json_dict(data: dict) -> WeightedEnsemble:
+    """Schema: {"name": str, "elements": [{"weight": w, "unitary": [[[re,im],...],...]}]}."""
     try:
         name = data.get("name", "")
         elements = data["elements"]

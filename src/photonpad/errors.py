@@ -1,5 +1,17 @@
 """Exception types raised by photonpad validation checks."""
 
+__all__ = [
+    "PhotonPadError",
+    "NotUnitaryError",
+    "NotDensityOperatorError",
+    "DimensionError",
+    "SectorRangeError",
+    "NormalizationError",
+    "QuadratureOrderError",
+    "ParseError",
+    "WeightSumError",
+]
+
 
 class PhotonPadError(ValueError):
     """Base class for all photonpad validation errors."""

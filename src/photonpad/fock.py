@@ -239,7 +239,11 @@ def _source_rows(source: SourceSpec, polarizations: np.ndarray, structure: Secto
     n, k, roots = _binomial_layout(structure.max_photons)
     amps = np.zeros(structure.max_photons + 1, dtype=np.complex128)
     amps[: source.max_photons + 1] = source.photon_amplitudes
-    powers = np.power(polarizations[:, :, None], np.arange(structure.max_photons + 1))
+    # Repeated products: numpy's complex power switches to exp/log at exponent 100, which loses digits.
+    powers = np.empty((*polarizations.shape, structure.max_photons + 1), dtype=np.complex128)
+    powers[..., 0] = 1
+    powers[..., 1:] = polarizations[..., None]
+    np.cumprod(powers, axis=-1, out=powers)
     return amps[n] * powers[:, 0, k] * powers[:, 1, n - k] * roots
 
 

@@ -20,8 +20,10 @@ turns that into a classification:
 two encrypted sources, i.e. the best distinguishing probability bias an
 eavesdropper can achieve. A source's photons share one polarization, so a
 rotation encrypts it by rotating that polarization, and the trace norm
-splits over the groups of sectors a dephaser keeps apart; only a
-pre-channel from outside the package needs lifts and a dense D x D output.
+splits over the groups of sectors a dephaser keeps apart
+(``channels._dephasing_groups``); only a pre-channel from outside the
+package needs lifts and a dense D x D output. The blocks and their Haar
+deviations come from ``su2``.
 
 The module also packages two fixed reference computations used as
 end-to-end checks (and exposed by the command line as ``reproduce
@@ -40,12 +42,12 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import _encrypt, apply_channel, choi_block, parity_dephase, photon_number_dephase
+from .channels import _dephasing_groups, _encrypt, apply_channel, choi_block
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
 from .fock import NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, _source_rows, build_source_state
 from .linalg import frobenius, trace_norm
-from .su2 import _check_pure_density, check_density
+from .su2 import _check_pure_density, _haar_deviation, check_density
 
 __all__ = [
     "Classification",
@@ -53,9 +55,7 @@ __all__ = [
     "security_report",
     "leakage",
     "AppendixAReference",
-    "AppendixAResult",
     "reproduce_appendix_a",
-    "AppendixBResult",
     "reproduce_appendix_b",
 ]
 
@@ -131,10 +131,7 @@ def security_report(
     deviations = np.zeros((top + 1, top + 1))
     for m in range(top + 1):
         for n in range(m, top + 1):
-            block = choi_block(ensemble, m, n)
-            if m == n:
-                block = block - np.eye((n + 1) ** 2) / (n + 1)
-            deviations[m, n] = deviations[n, m] = frobenius(block)
+            deviations[m, n] = deviations[n, m] = _haar_deviation(choi_block(ensemble, m, n), m, n)
     deviations.setflags(write=False)
     return SecurityReport(
         ensemble_name=ensemble.name or "ensemble",
@@ -172,13 +169,8 @@ def leakage(
     encrypted once from one lift sweep, and the trace norm is an SVD.
     """
     structure = SectorStructure(max_photons)
-    if pre_channel is None:
-        groups = np.zeros(structure.total_dim, dtype=int)
-    elif pre_channel is parity_dephase:
-        groups = structure.photon_numbers % 2
-    elif pre_channel is photon_number_dephase:
-        groups = structure.photon_numbers
-    else:
+    groups = _dephasing_groups(pre_channel, structure)
+    if groups is None:
         states = []
         for source in (source_a, source_b):
             vec = build_source_state(source, structure)

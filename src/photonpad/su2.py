@@ -22,6 +22,10 @@ functions check their raw input on every call. A ``WeightedEnsemble`` is
 checked once, when it is constructed, on its own copy of the arrays, so the
 sweeps inside ``choi_block``, the encryption channel and ``is_k_design``
 run the same recursion (``_lift_sweep``) on the validated stack directly.
+The Choi block C_mn = (q A_m)^T conj(A_n) of a sweep (``_choi_block``), its
+Haar value delta_mn I/(n+1) (``_haar_block``) and the distance between them
+(``_haar_deviation``) are written only here, for ``choi_block``, the security
+report, the design check and the ``haar`` command.
 
 Haar averages over U(2) come in two independent forms:
 
@@ -69,10 +73,8 @@ __all__ = [
     "lift_symmetric",
     "block_lift",
     "HaarQuadrature",
-    "tensor_power",
     "haar_moment",
     "haar_choi",
-    "check_density",
 ]
 
 
@@ -150,6 +152,24 @@ def _lift_sweep(us: np.ndarray, top: int) -> list[np.ndarray]:
         out[:, 1:, 1:] += t[:, 1, :, 1]
         lifts.append(out)
     return lifts
+
+
+def _choi_block(lifts: list[np.ndarray], weights: np.ndarray, m: int, n: int) -> np.ndarray:
+    """C_mn = (q A_m)^T conj(A_n), where A_n stacks the flattened lifts L_n(U_j) of one sweep."""
+    s = weights.size
+    return (weights[:, None] * lifts[m].reshape(s, -1)).T @ lifts[n].reshape(s, -1).conj()
+
+
+def _haar_block(m: int, n: int) -> np.ndarray:
+    """The Haar channel's Choi block delta_mn I/(n+1), shape ((m+1)^2, (n+1)^2)."""
+    if m != n:
+        return np.zeros(((m + 1) ** 2, (n + 1) ** 2))
+    return np.eye((n + 1) ** 2) / (n + 1)
+
+
+def _haar_deviation(block: np.ndarray, m: int, n: int) -> float:
+    """||C_mn - delta_mn I/(n+1)||_F; a cross block is measured as it is."""
+    return frobenius(block - _haar_block(m, n) if m == n else block)
 
 
 def lift_symmetric(u: np.ndarray, n: int) -> np.ndarray:

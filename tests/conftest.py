@@ -5,6 +5,7 @@ import pytest
 
 from photonpad import su2
 from photonpad.designs import clifford12_ensemble
+from photonpad.fock import _json_pairs
 
 
 def random_unitary(rng, dim=2):
@@ -24,6 +25,17 @@ def random_density(rng, dim):
 def random_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def ensemble_to_json_dict(ensemble):
+    """The ensemble file schema that ``designs.ensemble_from_json_dict`` reads."""
+    return {
+        "name": ensemble.name,
+        "elements": [
+            {"weight": float(w), "unitary": _json_pairs(u)}
+            for w, u in zip(ensemble.weights, ensemble.unitaries)
+        ],
+    }
 
 
 def apply_choi(choi, rho):

@@ -9,11 +9,11 @@ import pytest
 import photonpad
 from photonpad.channels import as_choi_operator
 from photonpad.cli import _fmt_complex, _render_haar, main, parse_complex
-from photonpad.designs import ensemble_to_json_dict
 from photonpad.errors import ParseError
 from photonpad.fock import SectorStructure
 from photonpad.su2 import haar_choi
 
+from conftest import ensemble_to_json_dict
 from test_designs import rotated_clifford12
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonpad.cli import MAX_DESIGN_ORDER, MAX_PHOTON_BOUND, main, parse_complex
-from photonpad.designs import ensemble_to_json_dict, pauli_ensemble
+from photonpad.designs import pauli_ensemble
+
+from conftest import ensemble_to_json_dict
 
 EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 

@@ -17,7 +17,6 @@ from photonpad.designs import (
     clifford12_ensemble,
     ensemble_from_json_dict,
     ensemble_moment,
-    ensemble_to_json_dict,
     frame_potential,
     haar_frame_potential,
     is_k_design,
@@ -29,7 +28,7 @@ from photonpad.errors import NotUnitaryError, ParseError, WeightSumError
 from photonpad.linalg import frobenius
 from photonpad.su2 import UNITARY_TOL, HaarQuadrature, haar_moment
 
-from conftest import random_unitary
+from conftest import ensemble_to_json_dict, random_unitary
 
 
 def test_pauli_ensemble_basics():

@@ -321,6 +321,18 @@ def test_rotated_source_rows_past_the_power_switch(rng, photons):
     assert np.abs(_source_rows(src, us @ p, s)[:, sl] - lifted).max() <= 5e-14
 
 
+@pytest.mark.parametrize("photons", [100, 120, 150])
+def test_source_rows_take_powers_by_repeated_products(rng, photons):
+    # Repeated products keep the rows within 2.4e-15 of the lift here; exp/log
+    # powers from exponent 100 on read 4.8e-15 at 150 photons
+    us = np.stack([random_unitary(rng) for _ in range(4)])
+    s = SectorStructure(photons)
+    sl = s.sector_slice(photons)
+    src = SourceSpec(PolarizationSpec(0.6, 0.8j), (0.0,) * photons + (1.0,))
+    lifted = sector_lifts(us, photons)[photons] @ build_source_state(src, s)[sl]
+    assert np.abs(_source_rows(src, us @ np.array([0.6, 0.8j]), s)[:, sl] - lifted).max() <= 4e-15
+
+
 def test_leakage_rejects_oversized_source():
     amps = (0.0, 0.0, 1.0)
     with pytest.raises(DimensionError):
