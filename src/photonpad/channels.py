@@ -24,10 +24,12 @@ here.
 ``apply_channel`` encrypts sector by sector from one ``sector_lifts``
 sweep in 2(N+1) GEMMs and never forms a D x D lift; so does ``leakage``
 through a pre-channel defined outside this module. The two dephasers mask by
-the group labels of ``_dephasing_groups`` (parity n % 2, or photon number n),
-and ``leakage`` splits its trace norm over the same labels (one group with no
+the group labels n mod P of ``_group_labels``, with the period P of
+``_dephasing_period`` (2 for parity, N + 1 for photon number), and ``leakage``
+splits its trace norm over the same groups (one group, P = 1, with no
 pre-channel). In those three cases it lifts nothing: it encrypts a pure
-source by rotating its polarization.
+source by rotating its polarization, and solves each group from the 2s rows
+of the two encrypted sources (s the ensemble size), never from a D x D matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .designs import WeightedEnsemble
 from .errors import SectorRangeError
-from .fock import SectorStructure, _is_int
+from .fock import SectorStructure, _is_int, _photon_numbers
 from .su2 import _choi_block, _lift_sweep, check_density
 
 __all__ = [
@@ -110,35 +112,41 @@ def as_choi_operator(matrix: np.ndarray, structure: SectorStructure) -> dict:
     }
 
 
-def _dephasing_groups(pre_channel, structure: SectorStructure) -> np.ndarray | None:
-    """One group label per basis state of K(N), for a pre-channel that keeps only within-group blocks.
+def _dephasing_period(pre_channel, structure: SectorStructure) -> int | None:
+    """The period P of a pre-channel that keeps only the blocks between basis states of equal n mod P.
 
-    No pre-channel is one group, ``parity_dephase`` labels by parity n % 2 and
-    ``photon_number_dephase`` by photon number n; any other callable gives
-    None. The dephasers are matched by identity with this module's globals, so
-    a wrapper bound in their place, as the benchmark's tracer binds, matches too.
+    No pre-channel is one group (P = 1), ``parity_dephase`` groups by parity
+    (P = 2) and ``photon_number_dephase`` by photon number (P = N + 1); any
+    other callable gives None. The dephasers are matched by identity with this
+    module's globals, so a wrapper bound in their place, as the benchmark's
+    tracer binds, matches too.
     """
     if pre_channel is None:
-        return np.zeros(structure.total_dim, dtype=int)
-    photons = structure.photon_numbers
+        return 1
     if pre_channel is parity_dephase:
-        return photons % 2
+        return 2
     if pre_channel is photon_number_dephase:
-        return photons
+        return structure.max_photons + 1
     return None
 
 
-def _dephase(rho: np.ndarray, structure: SectorStructure, groups: np.ndarray) -> np.ndarray:
+def _group_labels(top: int, period: int) -> np.ndarray:
+    """Group label n mod ``period`` of each basis state of K(top), in layout order."""
+    return _photon_numbers(top) % period
+
+
+def _dephase(rho: np.ndarray, structure: SectorStructure, pre_channel) -> np.ndarray:
     """Zero every entry of a checked density operator between basis states of different groups."""
     rho = check_density(rho, structure.total_dim)
+    groups = _group_labels(structure.max_photons, _dephasing_period(pre_channel, structure))
     return np.where(groups[:, None] == groups[None, :], rho, 0)
 
 
 def parity_dephase(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Remove coherence between even and odd photon-number sectors."""
-    return _dephase(rho, structure, _dephasing_groups(parity_dephase, structure))
+    return _dephase(rho, structure, parity_dephase)
 
 
 def photon_number_dephase(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Remove all coherence between distinct photon-number sectors."""
-    return _dephase(rho, structure, _dephasing_groups(photon_number_dephase, structure))
+    return _dephase(rho, structure, photon_number_dephase)

@@ -81,6 +81,15 @@ def _as_complex(value, what: str) -> complex:
     return z
 
 
+@functools.cache
+def _photon_numbers(top: int) -> np.ndarray:
+    """Photon number of each basis state of K(top), in layout order; read-only, since the cache shares it."""
+    sectors = np.arange(top + 1)
+    n = np.repeat(sectors, sectors + 1)
+    n.setflags(write=False)
+    return n
+
+
 @dataclass(frozen=True)
 class SectorStructure:
     """Index layout of K(N) for a maximum photon number N."""
@@ -98,9 +107,8 @@ class SectorStructure:
 
     @property
     def photon_numbers(self) -> np.ndarray:
-        """The photon number of each basis state, in layout order: 0, 1, 1, 2, 2, 2, ..."""
-        sectors = np.arange(self.max_photons + 1)
-        return np.repeat(sectors, sectors + 1)
+        """The photon number of each basis state, in layout order: 0, 1, 1, 2, 2, 2, ... (read-only)."""
+        return _photon_numbers(self.max_photons)
 
     def check_sector(self, n: int) -> int:
         if not (_is_int(n) and 0 <= n <= self.max_photons):
@@ -214,10 +222,10 @@ def _binomial_layout(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Read-only, since the cache hands the same arrays to every call.
     """
-    n = SectorStructure(top).photon_numbers
+    n = _photon_numbers(top)
     k = n - (np.arange(n.size) - n * (n + 1) // 2)
     roots = np.array([math.sqrt(math.comb(int(a), int(b))) for a, b in zip(n, k)])
-    for array in (n, k, roots):
+    for array in (k, roots):
         array.setflags(write=False)
     return n, k, roots
 

@@ -78,3 +78,17 @@ def lift_sweeps(monkeypatch):
         if name.startswith("photonpad") and getattr(module, "_lift_sweep", None) is original:
             monkeypatch.setattr(module, "_lift_sweep", counted)
     return calls
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """The shape of every matrix or stack ``np.linalg.eigvalsh`` receives while the test runs."""
+    original = np.linalg.eigvalsh
+    shapes = []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return shapes

@@ -9,6 +9,7 @@ from photonpad.fock import (
     PolarizationSpec,
     SectorStructure,
     SourceSpec,
+    _binomial_layout,
     build_source_state,
     symmetric_embedding,
 )
@@ -30,6 +31,9 @@ def test_photon_numbers_and_offsets(top):
     assert [s.sector_slice(n).start for n in range(top + 1)] == [labels.index(n) for n in range(top + 1)]
     for n in range(top + 1):
         assert s.photon_numbers[s.sector_slice(n)].tolist() == [n] * (n + 1)
+    # built once per N and shared read-only, with the source-row layout too
+    assert s.photon_numbers is SectorStructure(top).photon_numbers is _binomial_layout(top)[0]
+    assert not s.photon_numbers.flags.writeable
 
 
 @pytest.mark.parametrize("n", range(5))

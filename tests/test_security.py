@@ -238,6 +238,86 @@ def test_leakage_matches_dense_oracle_past_cli_cap(rng, max_photons):
         assert abs(leakage(e, a, b, max_photons, pre_channel=pre) - expected) <= 1e-13
 
 
+def random_ensemble(rng, size):
+    weights = rng.random(size) + 0.1
+    return WeightedEnsemble([random_unitary(rng) for _ in range(size)], weights / weights.sum())
+
+
+def random_source(rng, max_photons):
+    return SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
+
+
+# (size, max_photons, pre-channel, route). Groups of at most 12 states share one
+# batched eigensolve ("stacked"), wider ones are solved alone ("alone"), and a
+# group wider than its 2s rows plus 16 is solved from its 2s x 2s QR core ("core").
+LEAKAGE_ROUTES = [
+    (24, 20, photon_number_dephase, "stacked"),
+    (24, 12, parity_dephase, "alone"),
+    (1, 8, None, "core"),
+    (1, 8, parity_dephase, "core"),
+    (1, 20, None, "core"),
+    (1, 20, parity_dephase, "core"),
+    (4, 8, None, "core"),
+    (4, 8, parity_dephase, "core"),
+    (4, 20, None, "core"),
+    (4, 20, parity_dephase, "core"),
+]
+
+
+def route_taken(shapes, rows, route):
+    if route == "stacked":
+        return any(len(shape) == 3 for shape in shapes)
+    if route == "alone":
+        return any(len(shape) == 2 and shape[0] > rows for shape in shapes)
+    return (rows, rows) in shapes
+
+
+@pytest.mark.parametrize("size, max_photons, pre_channel, route", LEAKAGE_ROUTES)
+def test_leakage_routes_match_dense_oracle(rng, eigensolves, size, max_photons, pre_channel, route):
+    e = random_ensemble(rng, size)
+    a, b = random_source(rng, max_photons), random_source(rng, max_photons)
+    expected = dense_leakage(e, a, b, max_photons, pre_channel)
+    eigensolves.clear()
+    assert abs(leakage(e, a, b, max_photons, pre_channel=pre_channel) - expected) <= 1e-13
+    assert route_taken(eigensolves, 2 * size, route), eigensolves
+
+
+@pytest.mark.parametrize("max_photons", [3, 8, 12])
+def test_leakage_with_repeated_rows_matches_dense_oracle(rng, max_photons):
+    # Pauli elements send H to H, V, iV, H and V to V, H, -iH, -V, so in each
+    # sector the 8 rows span only the H and V states: W has rank 5 of 8 (2 per
+    # photon-number group), and the QR cores at N = 8 and 12 are singular
+    e = pauli_ensemble()
+    a = source(1.0, 0.0, tuple(random_state(rng, max_photons + 1)))
+    b = source(0.0, 1.0, tuple(random_state(rng, max_photons + 1)))
+    for pre in (None, parity_dephase, photon_number_dephase):
+        expected = dense_leakage(e, a, b, max_photons, pre)
+        assert abs(leakage(e, a, b, max_photons, pre_channel=pre) - expected) <= 1e-13
+
+
+@pytest.mark.parametrize("size", [1, 4, 24])
+def test_leakage_of_a_source_against_itself_is_rounding(rng, size):
+    e = random_ensemble(rng, size)
+    for max_photons in (2, 8, 20, 30):
+        a = random_source(rng, max_photons)
+        for pre in (None, parity_dephase, photon_number_dephase):
+            assert leakage(e, a, a, max_photons, pre_channel=pre) <= 1e-14
+
+
+@pytest.mark.parametrize("pre_channel", [None, parity_dephase])
+def test_wide_leakage_groups_are_solved_from_their_core(rng, eigensolves, pre_channel):
+    # D = 496 at N = 30, in parity groups of 256 and 240 states; s = 4 gives 2s = 8 rows
+    e = random_ensemble(rng, 4)
+    leakage(e, random_source(rng, 30), random_source(rng, 30), 30, pre_channel=pre_channel)
+    assert eigensolves and max(shape[-1] for shape in eigensolves) <= 8
+
+
+def test_photon_number_leakage_is_one_eigensolve(rng, eigensolves):
+    # nine photon-number groups of at most nine states share one batched call
+    leakage(random_ensemble(rng, 4), random_source(rng, 8), random_source(rng, 8), 8, photon_number_dephase)
+    assert len(eigensolves) == 1
+
+
 def lifted_rotation(u):
     """A pre-channel outside the package: conjugation by the block lift of a fixed unitary."""
 
