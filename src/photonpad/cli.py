@@ -11,9 +11,11 @@ Subcommands:
 * ``lift``          a single qubit unitary lifted to an n-photon sector
 
 Exit codes: 0 pass/secure, 2 negative verdict, 3 parity-secure only,
-1 usage or input error. stdout carries exactly one payload (JSON by
-default, ``--format text`` for a human rendering); diagnostics go to
-stderr. Identical invocations produce byte-identical output.
+1 usage or input error. stdout carries exactly one payload: by default
+one line of JSON, written by the C encoder of ``json.dumps`` (pipe it
+through ``python3 -m json.tool`` to indent it), or ``--format text`` for a
+human rendering. Diagnostics go to stderr. Identical invocations produce
+byte-identical output.
 
 Complex number literals on the command line are single tokens of the form
 ``a``, ``bi``, ``a+bi`` or ``a-bi``, e.g. ``0.6``, ``-i``, ``0.6+0.8i``.
@@ -74,7 +76,13 @@ def _fmt_complex(re: float, im: float) -> str:
 
 
 def _fmt_matrix(rows: list) -> list[str]:
-    """Rows of [re, im] pairs, as the payloads carry them."""
+    """Rows of [re, im] pairs, as the payloads carry them.
+
+    Matrix entries round as ``np.round`` does (scaled ``rint``), so a cell on a
+    12th-decimal half-way point keeps the digits the text form has always printed;
+    ``_fmt_complex`` then leaves each rounded entry as it is.
+    """
+    rows = np.round(np.asarray(rows, dtype=float), 12).tolist()
     return ["  " + " ".join(_fmt_complex(re, im) for re, im in row) for row in rows]
 
 
@@ -347,7 +355,7 @@ def main(argv=None) -> int:
     except PhotonPadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    rendered = json.dumps(payload, indent=2) if args.format == "json" else args.render(payload)
+    rendered = json.dumps(payload) if args.format == "json" else args.render(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

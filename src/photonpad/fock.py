@@ -70,8 +70,13 @@ def _json_complex(pair) -> complex:
 
 
 def _json_pairs(mat) -> list:
-    """A complex matrix as rows of [re, im] pairs, the inverse of ``_json_complex``."""
-    return [[[z.real, z.imag] for z in row] for row in mat]
+    """A complex matrix as rows of [re, im] Python-float pairs, the inverse of ``_json_complex``.
+
+    One ``tolist`` of the stacked real and imaginary parts builds every row, so
+    the pairs are Python floats and each zero keeps its sign.
+    """
+    m = np.asarray(mat)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def _as_complex(value, what: str) -> complex:

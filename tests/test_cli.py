@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import photonpad
+from photonpad import cli
 from photonpad.channels import as_choi_operator
-from photonpad.cli import _fmt_complex, _render_haar, main, parse_complex
+from photonpad.cli import MAX_PHOTON_BOUND, _fmt_complex, _fmt_matrix, _render_haar, main, parse_complex
 from photonpad.errors import ParseError
 from photonpad.fock import SectorStructure
 from photonpad.su2 import haar_choi
@@ -269,10 +270,29 @@ def test_haar_payload_matches_dense_oracle(capsys):
         }
         code, out, _ = run(capsys, "haar", "--max-photons", str(top))
         assert code == 0
-        assert out == json.dumps(expected, indent=2) + "\n"
+        assert out == json.dumps(expected) + "\n"
         code, out, _ = run(capsys, "haar", "--max-photons", str(top), "--format", "text")
         assert code == 0
         assert out == _render_haar(expected) + "\n"
+
+
+def test_haar_payload_at_the_cap_is_the_closed_form(capsys):
+    # the dense-oracle comparison above stops at N = 4; past it, check each block against delta_mn I/(n+1)
+    code, out, _ = run(capsys, "haar", "--max-photons", str(MAX_PHOTON_BOUND))
+    assert code == 0
+    assert len(out.encode()) <= 1.1e6
+    assert out.count("\n") == 1
+    payload = json.loads(out)
+    assert out == json.dumps(payload) + "\n"
+    sectors = range(MAX_PHOTON_BOUND + 1)
+    assert [(b["m"], b["n"]) for b in payload["blocks"]] == [(m, n) for m in sectors for n in sectors]
+    for b in payload["blocks"]:
+        m, n = b["m"], b["n"]
+        expected = [
+            [[1 / (n + 1) if m == n and i == j else 0.0, 0.0] for j in range((n + 1) ** 2)]
+            for i in range((m + 1) ** 2)
+        ]
+        assert b["matrix"] == expected, (m, n)
 
 
 def test_choi_json_schema(capsys):
@@ -453,6 +473,46 @@ def test_text_format_renders(capsys):
             json.loads(out)
 
 
+def fmt_matrix_per_cell(rows: list) -> list[str]:
+    """The text matrix lines with each entry rounded on its own as a numpy float, then printed by the
+    ``_fmt_complex`` f-string."""
+    return [
+        "  " + " ".join(
+            f"{round(np.float64(re), 12) + 0.0:+.12f}{round(np.float64(im), 12) + 0.0:+.12f}i" for re, im in row
+        )
+        for row in rows
+    ]
+
+
+# -0.2920676904815 sits on a 12th-decimal half-way point, where numpy's scaled rint and Python's round() differ
+HALF_WAY = -0.2920676904815
+HALF_WAY_UNITARY = "-0.2920676904815,0.956397649608573,-0.956397649608573,-0.2920676904815"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("haar", "--max-photons", str(MAX_PHOTON_BOUND)),
+        ("lift", "--n", "3", "--unitary", "0.6,0.8i,0.8i,0.6"),
+        ("lift", "--n", "1", f"--unitary={HALF_WAY_UNITARY}"),
+        ("reproduce", "appendix-a"),
+        ("reproduce", "appendix-b", "--c", "0.6", "--alpha", "0.8", "--beta", "0.6i"),
+    ],
+)
+def test_text_matrices_match_a_per_cell_formatter(capsys, monkeypatch, argv):
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    monkeypatch.setattr(cli, "_fmt_matrix", fmt_matrix_per_cell)
+    assert run(capsys, *argv, "--format", "text") == (code, out, "")
+
+
+def test_fmt_matrix_rounds_each_cell_as_numpy_does():
+    # signed zeros, parts that round to zero and parts that do not, and two half-way cells
+    parts = [0.0, -0.0, 4e-13, -4e-13, -6e-13, 0.5, 1 / 3, HALF_WAY, 2.2053876672105]
+    rows = [[[re, im] for im in parts] for re in parts]
+    assert _fmt_matrix(rows) == fmt_matrix_per_cell(rows)
+    assert _fmt_matrix([[[HALF_WAY, 2.2053876672105]]]) == ["  -0.292067690482+2.205387667210i"]
+
+
 def test_text_format_has_no_signed_zero(capsys):
     # a part that rounds to zero prints the same whatever sign the summation order left it
     assert _fmt_complex(-1e-17, -0.0) == "+0.000000000000+0.000000000000i"
@@ -513,7 +573,8 @@ def test_readme_command_line_examples(capsys, tmp_path, monkeypatch, line):
     stated = re.match(r"\s*exit (\d+)", comment)
     code, out, err = run(capsys, *shlex.split(command)[1:])
     assert code == (int(stated.group(1)) if stated else 0), err
-    json.loads(out)
+    assert out.count("\n") == 1
+    assert out == json.dumps(json.loads(out)) + "\n"
 
 
 def test_readme_python_api_example(capsys):

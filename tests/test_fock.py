@@ -10,6 +10,7 @@ from photonpad.fock import (
     SectorStructure,
     SourceSpec,
     _binomial_layout,
+    _json_pairs,
     build_source_state,
     symmetric_embedding,
 )
@@ -154,3 +155,20 @@ def test_symmetric_embedding_two_photon_columns():
     assert np.allclose(v[:, 0], [1, 0, 0, 0])
     assert np.allclose(v[:, 1], [0, 1 / np.sqrt(2), 1 / np.sqrt(2), 0])
     assert np.allclose(v[:, 2], [0, 0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        # zeros of both signs in both parts, read through a transposed, non-contiguous view
+        np.array([[complex(0.6, -0.0), complex(-0.0, 0.8)], [complex(-0.0, -0.8), complex(0.6, 0.0)]]).T,
+        -np.eye(3),
+        [[complex(-0.0, 1.0), complex(0.5, -0.0)], [1j, complex(-0.0, -0.0)]],
+    ],
+    ids=["transposed-view", "real-eye", "nested-lists"],
+)
+def test_json_pairs_match_the_per_entry_loop(mat):
+    pairs = _json_pairs(mat)
+    # json.dumps prints -0.0 with its sign, so equal strings mean equal signs too
+    assert json.dumps(pairs) == json.dumps([[[z.real, z.imag] for z in row] for row in mat])
+    assert {type(x) for row in pairs for pair in row for x in pair} == {float}
