@@ -21,15 +21,13 @@ ensemble elements, while cross blocks pick up the relative phases between
 the lifts L_m and L_n, which is why element phase conventions are physical
 here.
 
-``apply_channel`` encrypts sector by sector from one ``sector_lifts``
-sweep in 2(N+1) GEMMs and never forms a D x D lift; so does ``leakage``
-through a pre-channel defined outside this module. The two dephasers mask by
-the group labels n mod P of ``_group_labels``, with the period P of
-``_dephasing_period`` (2 for parity, N + 1 for photon number), and ``leakage``
-splits its trace norm over the same groups (one group, P = 1, with no
-pre-channel). In those three cases it lifts nothing: it encrypts a pure
-source by rotating its polarization, and solves each group from the 2s rows
-of the two encrypted sources (s the ensemble size), never from a D x D matrix.
+``apply_channel``, the reference channel for mixed states, encrypts sector
+by sector from one ``sector_lifts`` sweep in 2(N+1) GEMMs; no verdict calls it.
+The two dephasers mask by the group labels n mod P of ``_group_labels`` (P = 2
+for parity, N + 1 for photon number), and ``leakage``, which accepts only them
+or no pre-channel (P = 1), splits its trace norm over the same groups without a
+lift (``security``). A custom pre-channel composes with the public functions:
+0.5 * trace_norm(apply_channel(e, s, pre(rho_a)) - apply_channel(e, s, pre(rho_b))).
 """
 
 from __future__ import annotations
@@ -50,31 +48,27 @@ __all__ = [
 ]
 
 
-def _encrypt(ensemble: WeightedEnsemble, structure: SectorStructure, op: np.ndarray) -> np.ndarray:
-    """sum_j q_j L(U_j) op L(U_j)^dag on K(N) from one lift sweep, with no D x D lift.
+def apply_channel(ensemble: WeightedEnsemble, structure: SectorStructure, rho: np.ndarray) -> np.ndarray:
+    """Encrypt a density operator: sum_j q_j L(U_j) rho L(U_j)^dag, from one lift sweep.
 
-    Column sector n of all op L(U_j)^dag is one GEMM of op's sector-n columns
-    with the L_n(U_j)^dag side by side; row sector m of the sum is one GEMM of
-    the q_j L_m(U_j) side by side with the sector-m rows of those products.
-    ``op`` may be any D x D operator (the map is linear); callers check states.
+    The reference channel for mixed states; no verdict calls it. Column
+    sector n of all rho L(U_j)^dag is one GEMM of rho's sector-n columns with
+    the L_n(U_j)^dag side by side; row sector m of the sum is one GEMM of the
+    q_j L_m(U_j) side by side with the sector-m rows of those products.
     """
+    rho = check_density(rho, structure.total_dim)
     lifts = _lift_sweep(ensemble.unitaries, structure.max_photons)
     s, d = ensemble.size, structure.total_dim
     slices = [structure.sector_slice(n) for n in range(len(lifts))]
-    right = np.empty((d, s, d), dtype=np.complex128)  # right[a, j, c] = (op L(U_j)^dag)[a, c]
+    right = np.empty((d, s, d), dtype=np.complex128)  # right[a, j, c] = (rho L(U_j)^dag)[a, c]
     for n, lift in enumerate(lifts):
         daggers = lift.conj().transpose(2, 0, 1).reshape(n + 1, -1)
-        right[:, :, slices[n]] = (op[:, slices[n]] @ daggers).reshape(d, s, n + 1)
+        right[:, :, slices[n]] = (rho[:, slices[n]] @ daggers).reshape(d, s, n + 1)
     out = np.empty((d, d), dtype=np.complex128)
     for n, lift in enumerate(lifts):
         weighted = (ensemble.weights[:, None, None] * lift).transpose(1, 2, 0).reshape(n + 1, -1)
         out[slices[n]] = weighted @ right[slices[n]].reshape(-1, d)
     return out
-
-
-def apply_channel(ensemble: WeightedEnsemble, structure: SectorStructure, rho: np.ndarray) -> np.ndarray:
-    """Encrypt a density operator: sum_j q_j L(U_j) rho L(U_j)^dag."""
-    return _encrypt(ensemble, structure, check_density(rho, structure.total_dim))
 
 
 def choi_block(ensemble: WeightedEnsemble, m: int, n: int) -> np.ndarray:
@@ -112,14 +106,14 @@ def as_choi_operator(matrix: np.ndarray, structure: SectorStructure) -> dict:
     }
 
 
-def _dephasing_period(pre_channel, structure: SectorStructure) -> int | None:
+def _dephasing_period(pre_channel, structure: SectorStructure) -> int:
     """The period P of a pre-channel that keeps only the blocks between basis states of equal n mod P.
 
     No pre-channel is one group (P = 1), ``parity_dephase`` groups by parity
     (P = 2) and ``photon_number_dephase`` by photon number (P = N + 1); any
-    other callable gives None. The dephasers are matched by identity with this
-    module's globals, so a wrapper bound in their place, as the benchmark's
-    tracer binds, matches too.
+    other value, even a lambda doing the same, raises TypeError. The dephasers
+    are matched by identity with this module's globals, so a wrapper bound in
+    their place, as the benchmark's tracer binds, matches too.
     """
     if pre_channel is None:
         return 1
@@ -127,7 +121,7 @@ def _dephasing_period(pre_channel, structure: SectorStructure) -> int | None:
         return 2
     if pre_channel is photon_number_dephase:
         return structure.max_photons + 1
-    return None
+    raise TypeError(f"pre_channel must be None, parity_dephase or photon_number_dephase, got {pre_channel!r}")
 
 
 def _group_labels(top: int, period: int) -> np.ndarray:
@@ -135,18 +129,18 @@ def _group_labels(top: int, period: int) -> np.ndarray:
     return _photon_numbers(top) % period
 
 
-def _dephase(rho: np.ndarray, structure: SectorStructure, pre_channel) -> np.ndarray:
-    """Zero every entry of a checked density operator between basis states of different groups."""
+def _dephase(rho: np.ndarray, structure: SectorStructure, period: int) -> np.ndarray:
+    """Zero every entry of a checked density operator between basis states of different n mod ``period``."""
     rho = check_density(rho, structure.total_dim)
-    groups = _group_labels(structure.max_photons, _dephasing_period(pre_channel, structure))
+    groups = _group_labels(structure.max_photons, period)
     return np.where(groups[:, None] == groups[None, :], rho, 0)
 
 
 def parity_dephase(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Remove coherence between even and odd photon-number sectors."""
-    return _dephase(rho, structure, parity_dephase)
+    return _dephase(rho, structure, 2)
 
 
 def photon_number_dephase(rho: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Remove all coherence between distinct photon-number sectors."""
-    return _dephase(rho, structure, photon_number_dephase)
+    return _dephase(rho, structure, structure.max_photons + 1)

@@ -18,7 +18,8 @@ human rendering. Diagnostics go to stderr. Identical invocations produce
 byte-identical output.
 
 Complex number literals on the command line are single tokens of the form
-``a``, ``bi``, ``a+bi`` or ``a-bi``, e.g. ``0.6``, ``-i``, ``0.6+0.8i``.
+``a``, ``bi``, ``a+bi`` or ``a-bi``, e.g. ``0.6``, ``-i``, ``0.6+0.8i``; one
+that starts with a minus sign may follow its option as ``--c -i`` or ``--c=-i``.
 """
 
 from __future__ import annotations
@@ -347,7 +348,13 @@ def _render_lift(payload: dict) -> str:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):  # argparse would take "-i" or "-1,0,0,-1" for an option
+        if argv[i - 1] in ("--c", "--alpha", "--beta", "--unitary") and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
+        if any(t.startswith("--") and t.partition("=")[2] == "--" for t in argv):  # argparse reads "--" as no value
+            raise ParseError("an option's value may not be '--'")
         args, extras = _build_parser().parse_known_args(argv)
         if extras:  # argparse would print them raw, and a token may hold a line break
             raise ParseError(f"unrecognized arguments: {' '.join(map(repr, extras))}")

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import NotUnitaryError, ParseError, WeightSumError
 from .fock import _is_int, _json_complex, _json_number
-from .su2 import _check_qubit_unitaries, _choi_block, _haar_block, _lift_sweep, _moment, _multiplicity
+from .su2 import _check_qubit_unitaries, _choi_block, _haar_deviation, _lift_sweep, _moment, _multiplicity
 
 __all__ = [
     "WeightedEnsemble",
@@ -244,9 +244,9 @@ def _spin_block_deviation(ensemble: WeightedEnsemble, k: int) -> float:
     total = 0.0
     for m in sectors:
         for n in range(m, k + 1, 2):
-            block = _choi_block(lifts, ensemble.weights, m, n) - _haar_block(m, n)
+            deviation = _haar_deviation(_choi_block(lifts, ensemble.weights, m, n), m, n)
             # (m, n) and (n, m) blocks are adjoints of each other
-            total += (1 if m == n else 2) * mu[m] * mu[n] * np.vdot(block, block).real
+            total += (1 if m == n else 2) * mu[m] * mu[n] * deviation**2
     return math.sqrt(total)
 
 

@@ -19,11 +19,12 @@ turns that into a classification:
 ``leakage`` gives the operational counterpart: the trace distance between
 two encrypted sources, i.e. the best distinguishing probability bias an
 eavesdropper can achieve. A source's photons share one polarization, so a
-rotation encrypts it by rotating that polarization, and the trace norm
-splits over the groups of sectors a dephaser keeps apart
-(``channels._group_labels``); only a pre-channel from outside the
-package needs lifts and a dense D x D output. The blocks and their Haar
-deviations come from ``su2``.
+rotation encrypts it by rotating that polarization (``_encrypted_rows``), and
+the trace norm splits over the groups of sectors a dephaser keeps apart
+(``channels._group_labels``). It accepts no pre-channel or one of the two
+dephasers; a custom pre-channel composes with the public functions as 0.5 *
+trace_norm(apply_channel(e, s, pre(rho_a)) - apply_channel(e, s, pre(rho_b))).
+The blocks and their Haar deviations come from ``su2``.
 
 The module also packages two fixed reference computations used as
 end-to-end checks (and exposed by the command line as ``reproduce
@@ -43,12 +44,12 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import _dephasing_period, _encrypt, _group_labels, apply_channel, choi_block
+from .channels import _dephasing_period, _group_labels, choi_block
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
-from .fock import NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, _source_rows, build_source_state
-from .linalg import frobenius, trace_norm
-from .su2 import _check_pure_density, _haar_deviation, check_density
+from .fock import NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, _source_rows
+from .linalg import frobenius
+from .su2 import _check_pure_density, _haar_deviation
 
 __all__ = [
     "Classification",
@@ -154,11 +155,12 @@ def leakage(
 
     Returns (1/2) || E(rho_a) - E(rho_b) ||_1 in [0, 1]; zero means an
     eavesdropper seeing only ciphertexts cannot tell the sources apart.
-    ``pre_channel``, if given, is applied to both plaintext states first
-    (e.g. ``parity_dephase`` with signature (rho, structure)).
+    ``pre_channel``, None, ``parity_dephase`` or ``photon_number_dephase``, is
+    applied to both plaintexts first; any other value raises TypeError before
+    any work. A custom pre-channel ``pre`` composes as 0.5 * trace_norm(
+    apply_channel(e, s, pre(rho_a)) - apply_channel(e, s, pre(rho_b))).
 
-    With no pre-channel, ``parity_dephase`` or ``photon_number_dephase``
-    nothing is lifted. A source's photons share one polarization p, so
+    Nothing is lifted. A source's photons share one polarization p, so
     L(U_j) v is the source re-emitted with polarization U_j p; stacking those
     rows of both sources into the (2s, D) matrix W gives
     E(rho_a) - E(rho_b) = W^T diag(q, -q) conj(W). Each dephaser keeps only
@@ -168,27 +170,21 @@ def leakage(
     at most ``_STACKED_WIDTH`` states share one batched eigensolve, and a group
     much wider than 2s is cut by a QR to a 2s x 2s core with the same nonzero
     eigenvalues (``_signed_group_norm``). Each plaintext vector is checked
-    once, which for v v^dag and its pinchings is what ``check_density``
-    checks. Any other pre-channel takes the dense path: its outputs are
-    checked as density operators, their difference is encrypted once from one
-    lift sweep, and the trace norm is an SVD.
+    once, as ``su2._check_pure_density`` states.
     """
     structure = SectorStructure(max_photons)
     period = _dephasing_period(pre_channel, structure)
-    if period is None:
-        states = []
-        for source in (source_a, source_b):
-            vec = build_source_state(source, structure)
-            states.append(check_density(pre_channel(np.outer(vec, vec.conj()), structure), structure.total_dim))
-        return 0.5 * trace_norm(_encrypt(ensemble, structure, states[0] - states[1]))
-    rows = []
-    for source in (source_a, source_b):
-        p = np.array([source.polarization.alpha, source.polarization.beta])
-        stacked = _source_rows(source, np.concatenate([p[None], ensemble.unitaries @ p]), structure)
-        _check_pure_density(stacked[0])
-        rows.append(stacked[1:])
+    rows = [_encrypted_rows(ensemble, source, structure) for source in (source_a, source_b)]
     signed = np.concatenate([ensemble.weights, -ensemble.weights])
     return 0.5 * _signed_group_norm(np.concatenate(rows), signed, _group_columns(structure.max_photons, period))
+
+
+def _encrypted_rows(ensemble: WeightedEnsemble, source: SourceSpec, structure: SectorStructure) -> np.ndarray:
+    """The (s, D) rows w_j = L(U_j) v, the source re-emitted with polarization U_j p, after checking v."""
+    p = np.array([source.polarization.alpha, source.polarization.beta])
+    stacked = _source_rows(source, np.concatenate([p[None], ensemble.unitaries @ p]), structure)
+    _check_pure_density(stacked[0])
+    return stacked[1:]
 
 
 # Up to this group width numpy's per-call cost outweighs the eigensolve, so
@@ -373,9 +369,9 @@ def reproduce_appendix_b(
     weight = min(abs(c) ** 2, 1.0)
     source = SourceSpec(polarization, (c, 0.0, math.sqrt(1.0 - weight)))
     structure = SectorStructure(2)
-    vec = build_source_state(source, structure)
-    rho = np.outer(vec, vec.conj())
-    output = apply_channel(clifford12_ensemble(), structure, rho)
+    ensemble = clifford12_ensemble()
+    rows = _encrypted_rows(ensemble, source, structure)
+    output = (ensemble.weights[:, None] * rows).T @ rows.conj()  # sum_j q_j w_j w_j^dag
     reference = np.zeros_like(output)
     reference[0, 0] = weight
     reference += (1.0 - weight) * structure.projector(2) / 3.0

@@ -169,7 +169,8 @@ def _haar_block(m: int, n: int) -> np.ndarray:
 
 def _haar_deviation(block: np.ndarray, m: int, n: int) -> float:
     """||C_mn - delta_mn I/(n+1)||_F; a cross block is measured as it is."""
-    return frobenius(block - _haar_block(m, n) if m == n else block)
+    d = block - _haar_block(m, n) if m == n else block
+    return math.sqrt(np.vdot(d, d).real)  # np.linalg.norm builds real and imaginary temporaries
 
 
 def lift_symmetric(u: np.ndarray, n: int) -> np.ndarray:

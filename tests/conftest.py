@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,36 @@ def apply_choi(choi, rho):
     """E(rho) from the Choi operator J = sum_ij E(|i><j|) (x) |i><j| of a channel E."""
     d = rho.shape[0]
     return np.einsum("aibj,ij->ab", choi.reshape(d, d, d, d), rho)
+
+
+def exact_squared_deviations(ensemble, top):
+    """Oracle: Delta_mn^2 for m, n <= top as exact Fractions, from the characters of U_i^dag U_j.
+
+    For an equal-weight ensemble in which every g = U_i^dag U_j has a Gaussian-integer
+    trace and determinant (pauli, clifford12), the characters chi_n(g) = tr L_n(g),
+    chi_0 = 1, chi_1 = tr g and chi_{n+1} = tr(g) chi_n - det(g) chi_{n-1}, are Gaussian
+    integers. ||C_mn||_F^2 = q^2 sum_ij chi_m(g_ij) conj(chi_n(g_ij)) and <C_nn, I> = n + 1,
+    so Delta_mn^2 = q^2 sum_ij Re chi_m conj chi_n - delta_mn.
+    """
+    s = ensemble.size
+    assert np.all(ensemble.weights == ensemble.weights[0]), "equal weights only"
+    us = ensemble.unitaries
+    g = np.einsum("iba,jbc->ijac", us.conj(), us).reshape(-1, 2, 2)
+    rounded = []
+    for x in (np.trace(g, axis1=1, axis2=2), np.linalg.det(g)):
+        pairs = np.stack((np.round(x.real), np.round(x.imag)), -1)
+        assert np.abs(pairs - np.stack((x.real, x.imag), -1)).max() < 1e-9, "not Gaussian integers"
+        rounded.append([(int(a), int(b)) for a, b in pairs])
+    total = [[0] * (top + 1) for _ in range(top + 1)]
+    for (tr, ti), (dr, di) in zip(*rounded):
+        chi = [(1, 0), (tr, ti)]
+        while len(chi) <= top:
+            (ar, ai), (br, bi) = chi[-1], chi[-2]
+            chi.append((tr * ar - ti * ai - (dr * br - di * bi), tr * ai + ti * ar - (dr * bi + di * br)))
+        for m in range(top + 1):
+            for n in range(top + 1):
+                total[m][n] += chi[m][0] * chi[n][0] + chi[m][1] * chi[n][1]
+    return [[Fraction(total[m][n], s * s) - (m == n) for n in range(top + 1)] for m in range(top + 1)]
 
 
 def antisymmetric_identity_check():

@@ -183,6 +183,35 @@ def test_reproduce_appendix_b_names_the_bad_complex_literal(capsys, flag):
     assert err == f"error: argument {flag}: bad complex literal 'q'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "appendix-b", "--c", "-i", "--alpha", "1", "--beta", "0"],
+    ["lift", "--n", "1", "--unitary", "-0.2920676904815,0.956397649608573,-0.956397649608573,-0.2920676904815"],
+], ids=["appendix-b", "lift"])
+def test_minus_led_complex_value_may_be_a_separate_token(capsys, argv):
+    i = argv.index("--c" if "--c" in argv else "--unitary")
+    joined = argv[:i] + [f"{argv[i]}={argv[i + 1]}"] + argv[i + 2 :]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    assert run(capsys, *joined) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "appendix-a", "--format=--"],
+    ["analyze", "--ensemble", "pauli", "--tol=--"],
+    ["analyze", "--ensemble=--", "--max-photons", "1"],
+    ["haar", "--max-photons", "1", "--out=--"],
+    ["lift", "--n", "1", "--unitary=--"],
+])
+def test_an_option_value_of_double_dash_fails_closed(capsys, argv):
+    # argparse drops such a value and hands the command an empty list
+    assert run(capsys, *argv) == (1, "", "error: an option's value may not be '--'\n")
+
+
+def test_option_is_not_taken_as_a_missing_complex_value(capsys):
+    code, out, err = run(capsys, "reproduce", "appendix-b", "--c", "--alpha", "1", "--beta", "0")
+    assert (code, out, err) == (1, "", "error: argument --c: expected one argument\n")
+
+
 @pytest.mark.parametrize("argv, choices", [
     ([], "{design-check,analyze,reproduce,leakage,haar,lift}"),
     (["reproduce"], "{appendix-a,appendix-b}"),

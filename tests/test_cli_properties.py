@@ -173,7 +173,10 @@ def bad_unitaries(draw):
 
 
 def command_cases(source):
-    """Per subcommand: the words that select it, and per option a valid value and malformed ones."""
+    """Per subcommand: the words that select it, and per option a valid value and malformed ones.
+
+    The valid complex values start with a minus sign, which argparse would read as an option.
+    """
     ensemble = ("pauli", TEXT.filter(lambda t: t not in ("pauli", "clifford12")))
     c = COMPLEX.filter(lambda z: abs(z) > 1 + 1e-9).map(literal) | NOT_COMPLEX
     alpha = COMPLEX.filter(lambda z: abs(abs(z) - 1) > 1e-6).map(literal) | NOT_COMPLEX
@@ -185,11 +188,11 @@ def command_cases(source):
         "analyze": (["analyze"], {"--ensemble": ensemble, "--max-photons": ("2", photons(1))}),
         "appendix-a": (["reproduce", "appendix-a"], {}),
         "appendix-b": (["reproduce", "appendix-b"], {
-            "--c": ("0.6", c), "--alpha": ("1", alpha), "--beta": ("0", NOT_COMPLEX)}),
+            "--c": ("-0.6i", c), "--alpha": ("-i", alpha), "--beta": ("0", NOT_COMPLEX)}),
         "leakage": (["leakage", source, source], {
             "--ensemble": ensemble, "--max-photons": ("1", photons(1)), "--dephase": ("none", dephase)}),
         "haar": (["haar"], {"--max-photons": ("1", photons(0))}),
-        "lift": (["lift"], {"--n": ("1", photons(0)), "--unitary": ("0,1,1,0", bad_unitaries())}),
+        "lift": (["lift"], {"--n": ("1", photons(0)), "--unitary": ("-1,0,0,1", bad_unitaries())}),
     }
 
 
@@ -250,8 +253,11 @@ def test_malformed_argv_fails_closed(workdir, command, data):
 
 
 def test_valid_bases_succeed(workdir):
-    # the malformed argv are single changes of these; each must pass unchanged
+    # the malformed argv are single changes of these; each must pass unchanged, as name=value or as two tokens
     for words, options in command_cases(str(workdir / "source.json")).values():
-        argv = list(words) + [f"{name}={valid}" for name, (valid, _) in options.items()]
-        code, out, err = run_cli(argv)
-        assert code in (0, 2, 3) and out and not err, argv
+        joined = list(words) + [f"{name}={valid}" for name, (valid, _) in options.items()]
+        separate = list(words) + [token for name, (valid, _) in options.items() for token in (name, valid)]
+        results = [run_cli(argv) for argv in (joined, separate)]
+        code, out, err = results[0]
+        assert code in (0, 2, 3) and out and not err, joined
+        assert results[1] == results[0], separate

@@ -26,7 +26,8 @@ from photonpad.designs import (
 )
 from photonpad.errors import NotUnitaryError, ParseError, WeightSumError
 from photonpad.linalg import frobenius
-from photonpad.su2 import UNITARY_TOL, HaarQuadrature, haar_moment
+from photonpad.security import security_report
+from photonpad.su2 import UNITARY_TOL, HaarQuadrature, _multiplicity, haar_moment
 
 from conftest import ensemble_to_json_dict, random_unitary
 
@@ -441,3 +442,24 @@ def test_gap_bound_covers_unitarity_and_weight_slack(rng):
                 gap, bound = gap_and_bound(e, k)
                 assert abs(gap - _spin_block_deviation(e, k) ** 2) <= bound
 
+
+
+def test_design_deviation_is_the_multiplicity_weighted_security_table(rng):
+    # Schur-Weyl: ||M_k(e) - M_k(Haar)||_F^2 = sum mu_k(m) mu_k(n) Delta_mn^2 over m = n = k (mod 2),
+    # exactly when every element has determinant one, so the two public verdicts must agree
+    us = np.stack([random_unitary(rng) for _ in range(7)])
+    weights = rng.random(7) + 0.1
+    quad = HaarQuadrature(3)
+    ensembles = [
+        clifford12_ensemble(),
+        WeightedEnsemble(us / np.sqrt(np.linalg.det(us))[:, None, None], weights / weights.sum()),
+        WeightedEnsemble(quad.unitaries, quad.weights),
+    ]
+    for e in ensembles:
+        for k in range(1, 6):
+            deviations = security_report(e, k).deviations
+            sectors = range(k % 2, k + 1, 2)
+            expected = math.sqrt(sum(
+                _multiplicity(k, m) * _multiplicity(k, n) * deviations[m, n] ** 2 for m in sectors for n in sectors
+            ))
+            assert abs(is_k_design(e, k).moment_deviation - expected) <= 1e-14 + 1e-13 * expected, (e.name, k)

@@ -1,11 +1,13 @@
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from photonpad import su2
-from photonpad.channels import choi_block, parity_dephase, photon_number_dephase
+from photonpad.channels import apply_channel, choi_block, parity_dephase, photon_number_dephase
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, is_k_design, pauli_ensemble
 from photonpad.errors import DimensionError, NormalizationError, NotDensityOperatorError, NotUnitaryError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, _source_rows, build_source_state
@@ -20,7 +22,7 @@ from photonpad.security import (
 )
 from photonpad.su2 import block_lift, lift_symmetric, sector_lifts
 
-from conftest import antisymmetric_identity_check, random_state, random_unitary
+from conftest import antisymmetric_identity_check, exact_squared_deviations, random_state, random_unitary
 
 
 def pauli8_ensemble():
@@ -46,6 +48,29 @@ def test_classification_values():
     assert Classification.SECURE.value == "SECURE"
     assert Classification.PARITY_SECURE.value == "PARITY_SECURE"
     assert Classification.INSECURE.value == "INSECURE"
+
+
+@pytest.mark.parametrize("top", [8, 16])
+@pytest.mark.parametrize("ensemble", [pauli_ensemble(), clifford12_ensemble()], ids=["pauli", "clifford12"])
+def test_security_report_matches_exact_character_oracle(ensemble, top):
+    exact = exact_squared_deviations(ensemble, top)
+    report = security_report(ensemble, top)
+    fails = []
+    for m in range(top + 1):
+        for n in range(top + 1):
+            if exact[m][n] == 0:
+                assert report.deviations[m, n] <= 1e-15, (m, n)
+            else:
+                assert abs(report.deviations[m, n] - math.sqrt(exact[m][n])) <= 1e-13, (m, n)
+            if exact[m][n] > Fraction(report.tol) ** 2:
+                fails.append((m, n))
+    if not fails:
+        expected = Classification.SECURE
+    elif all((m - n) % 2 for m, n in fails):
+        expected = Classification.PARITY_SECURE
+    else:
+        expected = Classification.INSECURE
+    assert report.classification is expected
 
 
 def test_nan_deviation_never_passes():
@@ -328,28 +353,17 @@ def lifted_rotation(u):
     return rotate
 
 
-def test_leakage_with_user_pre_channel(rng):
-    rotate = lifted_rotation(random_unitary(rng))
+def test_leakage_takes_only_the_package_dephasers(lift_sweeps, rng):
+    # a pre-channel is matched by identity, so a lambda doing what parity_dephase does is refused too
     e = WeightedEnsemble([random_unitary(rng) for _ in range(5)], [0.2] * 5)
-    for max_photons in (1, 4, 9):
-        a = SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
-        b = SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
-        expected = dense_leakage(e, a, b, max_photons, rotate)
-        assert abs(leakage(e, a, b, max_photons, pre_channel=rotate) - expected) <= 1e-13
-
-
-@pytest.mark.parametrize(
-    "pre_channel, message",
-    [
-        (lambda rho, s: 2 * rho, "trace"),
-        (lambda rho, s: 1.5 * rho - 0.5 * np.eye(s.total_dim) / s.total_dim, "negative eigenvalue"),
-        (lambda rho, s: rho[:-1, :-1], "expected shape"),
-    ],
-)
-def test_leakage_rejects_non_density_pre_channel(pre_channel, message):
-    amps = (0.6, 0.0, 0.8)
-    with pytest.raises(NotDensityOperatorError, match=f"^{message}"):
-        leakage(clifford12_ensemble(), source(1, 0, amps), source(0, 1, amps), 2, pre_channel=pre_channel)
+    a = SourceSpec(random_polarization(rng), tuple(random_state(rng, 5)))
+    b = SourceSpec(random_polarization(rng), tuple(random_state(rng, 5)))
+    for pre in (lifted_rotation(random_unitary(rng)), lambda rho, s: parity_dephase(rho, s), "parity"):
+        with pytest.raises(TypeError, match="^pre_channel must be None, parity_dephase or photon_number_dephase"):
+            leakage(e, a, b, 4, pre_channel=pre)
+    for pre in (None, parity_dephase, photon_number_dephase):
+        leakage(e, a, b, 4, pre_channel=pre)
+    assert lift_sweeps == []
 
 
 def test_leakage_checks_the_plaintext_vector_past_its_norm_tolerance():
@@ -359,17 +373,6 @@ def test_leakage_checks_the_plaintext_vector_past_its_norm_tolerance():
     b = source(0, 1, amps)
     with pytest.raises(NotDensityOperatorError, match="^trace"):
         leakage(pauli_ensemble(), a, b, 150, pre_channel=photon_number_dephase)
-
-
-def test_leakage_lifts_only_for_other_pre_channels(lift_sweeps, rng):
-    e = WeightedEnsemble([random_unitary(rng) for _ in range(5)], [0.2] * 5)
-    a = SourceSpec(random_polarization(rng), tuple(random_state(rng, 5)))
-    b = SourceSpec(random_polarization(rng), tuple(random_state(rng, 5)))
-    for pre in (None, parity_dephase, photon_number_dephase):
-        leakage(e, a, b, 4, pre_channel=pre)
-    assert lift_sweeps == []
-    leakage(e, a, b, 4, pre_channel=lifted_rotation(random_unitary(rng)))
-    assert len(lift_sweeps) >= 1
 
 
 @pytest.mark.parametrize("size", [1, 5, 24])
@@ -504,6 +507,20 @@ def test_reproduce_appendix_b_validation():
     with pytest.raises(NormalizationError, match=r"^\|c\| = 1\.0000000000009 exceeds 1$"):
         reproduce_appendix_b(1 + 9e-13, 1.0, 0.0)
     assert reproduce_appendix_b(1 + 4e-13, 1.0, 0.0).passed
+
+
+def test_reproduce_appendix_b_matches_the_reference_channel(lift_sweeps, rng):
+    # the encrypted source rows against the mixed-state channel on the same plaintext
+    structure = SectorStructure(2)
+    for _ in range(200):
+        c = np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        pol = random_polarization(rng)
+        output = reproduce_appendix_b(c, pol.alpha, pol.beta).output
+        assert lift_sweeps == []
+        vec = build_source_state(SourceSpec(pol, (c, 0.0, np.sqrt(1.0 - abs(c) ** 2))), structure)
+        expected = apply_channel(clifford12_ensemble(), structure, np.outer(vec, vec.conj()))
+        assert np.abs(output - expected).max() <= 1e-15
+        lift_sweeps.clear()
 
 
 def test_antisymmetric_identity():
