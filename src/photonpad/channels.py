@@ -36,7 +36,7 @@ import numpy as np
 
 from .designs import WeightedEnsemble
 from .errors import SectorRangeError
-from .fock import SectorStructure, _is_int, _photon_numbers
+from .fock import SectorStructure, _count, _photon_numbers
 from .su2 import _choi_block, _lift_sweep, check_density
 
 __all__ = [
@@ -77,9 +77,7 @@ def choi_block(ensemble: WeightedEnsemble, m: int, n: int) -> np.ndarray:
     One lift sweep to max(m, n) gives the stacks A_m, A_n of flattened
     lifts, and C_mn = (q A_m)^T conj(A_n) (``su2._choi_block``).
     """
-    for label, sector in (("m", m), ("n", n)):
-        if not (_is_int(sector) and sector >= 0):
-            raise SectorRangeError(f"sector {label}={sector!r} must be a non-negative int")
+    m, n = _count(m, "sector m"), _count(n, "sector n")
     return _choi_block(_lift_sweep(ensemble.unitaries, max(m, n)), ensemble.weights, m, n)
 
 

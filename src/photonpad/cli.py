@@ -17,9 +17,11 @@ through ``python3 -m json.tool`` to indent it), or ``--format text`` for a
 human rendering. Diagnostics go to stderr. Identical invocations produce
 byte-identical output.
 
+Options must be spelled in full: ``--alp`` or ``--max`` is an input error.
 Complex number literals on the command line are single tokens of the form
 ``a``, ``bi``, ``a+bi`` or ``a-bi``, e.g. ``0.6``, ``-i``, ``0.6+0.8i``; one
 that starts with a minus sign may follow its option as ``--c -i`` or ``--c=-i``.
+An ensemble file with no name is named by its ``--ensemble`` path in every payload.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .channels import parity_dephase, photon_number_dephase
-from .designs import is_k_design, key_length, load_ensemble
+from .designs import WeightedEnsemble, is_k_design, key_length, load_ensemble
 from .errors import ParseError, PhotonPadError
 from .fock import SourceSpec, _json_pairs
 from .security import (
@@ -127,6 +129,11 @@ def _unitary(token: str) -> np.ndarray:
 
 
 class _Parser(argparse.ArgumentParser):
+    """No abbreviations: ``main`` joins a minus-led value to its option by the option's full name."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise ParseError(message)
 
@@ -187,11 +194,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_design_check(args) -> tuple[dict, int]:
+def _load_ensemble(args) -> tuple[WeightedEnsemble, str]:
+    """The ``--ensemble`` argument loaded, with the name every payload shows: its own, or else the argument."""
     ensemble = load_ensemble(args.ensemble)
+    return ensemble, ensemble.name or args.ensemble
+
+
+def _cmd_design_check(args) -> tuple[dict, int]:
+    ensemble, name = _load_ensemble(args)
     checks = [is_k_design(ensemble, k, args.tol) for k in range(1, args.k + 1)]
     payload = {
-        "ensemble": ensemble.name or str(args.ensemble),
+        "ensemble": name,
         "k": args.k,
         "tol": args.tol,
         "key_bits_per_use": key_length(ensemble),
@@ -221,9 +234,9 @@ def _render_design_check(payload: dict) -> str:
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
-    ensemble = load_ensemble(args.ensemble)
+    ensemble, name = _load_ensemble(args)
     report = security_report(ensemble, args.max_photons, args.tol)
-    return report.to_json_dict(), _CLASSIFICATION_EXIT[report.classification]
+    return {**report.to_json_dict(), "ensemble": name}, _CLASSIFICATION_EXIT[report.classification]
 
 
 def _render_analyze(payload: dict) -> str:
@@ -287,7 +300,7 @@ def _render_reproduce_b(payload: dict) -> str:
 
 
 def _cmd_leakage(args) -> tuple[dict, int]:
-    ensemble = load_ensemble(args.ensemble)
+    ensemble, name = _load_ensemble(args)
     sources = []
     for path in (args.source_a, args.source_b):
         try:
@@ -298,7 +311,7 @@ def _cmd_leakage(args) -> tuple[dict, int]:
     pre = {"none": None, "parity": parity_dephase, "photon-number": photon_number_dephase}[args.dephase]
     value = leakage(ensemble, sources[0], sources[1], args.max_photons, pre_channel=pre)
     payload = {
-        "ensemble": ensemble.name or str(args.ensemble),
+        "ensemble": name,
         "max_photons": args.max_photons,
         "tol": args.tol,
         "dephase": args.dephase,

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotUnitaryError, ParseError, WeightSumError
-from .fock import _is_int, _json_complex, _json_number
+from .fock import _count, _json_complex, _json_number
 from .su2 import _check_qubit_unitaries, _choi_block, _haar_deviation, _lift_sweep, _moment, _multiplicity
 
 __all__ = [
@@ -146,11 +146,6 @@ def builtin_ensembles() -> dict:
     return {"pauli": pauli_ensemble, "clifford12": clifford12_ensemble}
 
 
-def _check_order(k) -> None:
-    if not (_is_int(k) and k >= 1):
-        raise ValueError(f"k must be a positive int, got {k!r}")
-
-
 def _frame_potentials(ensemble: WeightedEnsemble, k: int) -> tuple[float, float]:
     """(F_{k-1}(e), F_k(e)) from one table of |tr(U_i^dag U_j)|^2.
 
@@ -169,8 +164,7 @@ def _frame_potentials(ensemble: WeightedEnsemble, k: int) -> tuple[float, float]
 
 def frame_potential(ensemble: WeightedEnsemble, k: int) -> float:
     """F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k)."""
-    _check_order(k)
-    return _frame_potentials(ensemble, int(k))[1]
+    return _frame_potentials(ensemble, _count(k, "k", lo=1, error=ValueError))[1]
 
 
 def haar_frame_potential(k: int) -> float:
@@ -179,14 +173,13 @@ def haar_frame_potential(k: int) -> float:
     By invariance the double Haar average collapses to a single one, which
     for a qubit is the k-th Catalan number C(2k, k)/(k+1) (1, 2, 5, 14, ...).
     """
-    _check_order(k)
+    k = _count(k, "k", lo=1, error=ValueError)
     return float(math.comb(2 * k, k) // (k + 1))
 
 
 def ensemble_moment(ensemble: WeightedEnsemble, k: int) -> np.ndarray:
     """Ensemble moment operator M_k(e) = sum_j q_j U_j^(x k) (x) conj(U_j)^(x k)."""
-    _check_order(k)
-    return _moment(ensemble.unitaries, ensemble.weights, k)
+    return _moment(ensemble.unitaries, ensemble.weights, _count(k, "k", lo=1, error=ValueError))
 
 
 @dataclass(frozen=True)
@@ -308,8 +301,7 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
     A k-design is a design at every lower order, so checking the target
     order suffices.
     """
-    _check_order(k)
-    k, tol = int(k), float(tol)
+    k, tol = _count(k, "k", lo=1, error=ValueError), float(tol)
     lower, potential = _frame_potentials(ensemble, k)
     haar = haar_frame_potential(k)
     gap = potential - haar

@@ -45,9 +45,15 @@ __all__ = [
 NORM_TOL = 1e-12
 
 
-def _is_int(value) -> bool:
-    """An int or numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _count(value, name: str, lo: int = 0, hi: int | None = None, error: type = SectorRangeError) -> int:
+    """The package's one rule for a count argument: an int or numpy integer, not a bool, in [lo, hi].
+
+    Returns it as an int; ``hi=None`` leaves it unbounded above. Anything else raises ``error``.
+    """
+    top = math.inf if hi is None else hi
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= top:
+        return int(value)
+    raise error(f"{name} must be an int in [{lo}, {top}], got {value!r}")
 
 
 def _norm_sq(amplitudes) -> float:
@@ -102,8 +108,7 @@ class SectorStructure:
     max_photons: int
 
     def __post_init__(self):
-        if not (_is_int(self.max_photons) and self.max_photons >= 0):
-            raise SectorRangeError(f"max_photons must be a non-negative int, got {self.max_photons!r}")
+        object.__setattr__(self, "max_photons", _count(self.max_photons, "max_photons"))
 
     @property
     def total_dim(self) -> int:
@@ -116,9 +121,7 @@ class SectorStructure:
         return _photon_numbers(self.max_photons)
 
     def check_sector(self, n: int) -> int:
-        if not (_is_int(n) and 0 <= n <= self.max_photons):
-            raise SectorRangeError(f"sector {n!r} outside 0..{self.max_photons}")
-        return int(n)
+        return _count(n, "sector", hi=self.max_photons)
 
     def sector_slice(self, n: int) -> slice:
         n = self.check_sector(n)
@@ -128,9 +131,7 @@ class SectorStructure:
     def index(self, n: int, k: int) -> int:
         """Flat index of the Fock state |k, n-k> (k horizontal photons)."""
         n = self.check_sector(n)
-        if not 0 <= k <= n:
-            raise SectorRangeError(f"need 0 <= k <= {n}, got k={k}")
-        return n * (n + 1) // 2 + (n - k)
+        return n * (n + 1) // 2 + (n - _count(k, "k", hi=n))
 
     def projector(self, n: int) -> np.ndarray:
         """Orthogonal projector onto sector n as a total_dim matrix."""
@@ -268,9 +269,7 @@ def symmetric_embedding(n: int) -> np.ndarray:
     Shape (2**n, n+1); V_n^dag V_n = I and V_n V_n^dag is the symmetrizer.
     ``n = 0`` returns the 1x1 identity.
     """
-    if not (_is_int(n) and n >= 0):
-        raise SectorRangeError(f"photon number must be a non-negative int, got {n!r}")
-    n = int(n)
+    n = _count(n, "photon number")
     v = np.zeros((2**n, n + 1), dtype=np.complex128)
     if n == 0:
         v[0, 0] = 1.0

@@ -59,13 +59,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    NotDensityOperatorError,
-    NotUnitaryError,
-    QuadratureOrderError,
-    SectorRangeError,
-)
-from .fock import SectorStructure, _is_int
+from .errors import NotDensityOperatorError, NotUnitaryError, QuadratureOrderError
+from .fock import SectorStructure, _count
 from .linalg import DENSITY_TOL, frobenius
 
 __all__ = [
@@ -116,9 +111,7 @@ def sector_lifts(unitaries: np.ndarray, top: int) -> list[np.ndarray]:
     """
     us = np.asarray(unitaries, dtype=np.complex128)
     _check_qubit_unitaries(us)
-    if not (_is_int(top) and top >= 0):
-        raise SectorRangeError(f"top sector must be a non-negative int, got {top!r}")
-    return _lift_sweep(us, int(top))
+    return _lift_sweep(us, _count(top, "top sector"))
 
 
 @functools.cache
@@ -215,8 +208,7 @@ class HaarQuadrature:
     order: int
 
     def __post_init__(self):
-        if not (_is_int(self.order) and self.order >= 1):
-            raise QuadratureOrderError(f"order must be a positive int, got {self.order!r}")
+        object.__setattr__(self, "order", _count(self.order, "order", lo=1, error=QuadratureOrderError))
 
     @cached_property
     def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +261,6 @@ def haar_moment(k: int) -> np.ndarray:
     A 4^k x 4^k Hermitian idempotent (the projector onto operators commuting
     with the diagonal k-fold action), integrated by the order-k quadrature.
     """
-    if not (_is_int(k) and k >= 1):
-        raise QuadratureOrderError(f"moment order k must be a positive int, got {k!r}")
     quad = HaarQuadrature(k)
     return _moment(quad.unitaries, quad.weights, k)
 

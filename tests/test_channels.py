@@ -1,3 +1,6 @@
+import functools
+import json
+
 import numpy as np
 import pytest
 
@@ -8,10 +11,19 @@ from photonpad.channels import (
     parity_dephase,
     photon_number_dephase,
 )
-from photonpad.designs import WeightedEnsemble, clifford12_ensemble, pauli_ensemble
+from photonpad.designs import (
+    WeightedEnsemble,
+    clifford12_ensemble,
+    ensemble_moment,
+    frame_potential,
+    haar_frame_potential,
+    is_k_design,
+    pauli_ensemble,
+)
 from photonpad.errors import NotDensityOperatorError, QuadratureOrderError, SectorRangeError
-from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
-from photonpad.su2 import HaarQuadrature, block_lift, haar_choi
+from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state, symmetric_embedding
+from photonpad.security import security_report
+from photonpad.su2 import HaarQuadrature, block_lift, haar_choi, haar_moment, sector_lifts
 
 from conftest import random_density, random_unitary
 from test_su2 import dense_lift
@@ -70,6 +82,24 @@ def test_apply_channel_matches_dense_loop(rng, top):
     assert np.abs(apply_channel(ensemble, s, rho) - expected).max() <= 1e-13
 
 
+# Every count argument of the package, as a call of the bad value, with the error type it raises.
+COUNT_SITES = {
+    "SectorStructure": (SectorStructure, SectorRangeError),
+    "check_sector": (lambda v: SectorStructure(2).check_sector(v), SectorRangeError),
+    "index": (lambda v: SectorStructure(2).index(1, v), SectorRangeError),
+    "symmetric_embedding": (symmetric_embedding, SectorRangeError),
+    "sector_lifts": (lambda v: sector_lifts(pauli_ensemble().unitaries, v), SectorRangeError),
+    "HaarQuadrature": (HaarQuadrature, QuadratureOrderError),
+    "haar_moment": (haar_moment, QuadratureOrderError),
+    "choi_block_m": (lambda v: choi_block(pauli_ensemble(), v, 0), SectorRangeError),
+    "choi_block_n": (lambda v: choi_block(pauli_ensemble(), 0, v), SectorRangeError),
+    "frame_potential": (lambda v: frame_potential(pauli_ensemble(), v), ValueError),
+    "haar_frame_potential": (haar_frame_potential, ValueError),
+    "ensemble_moment": (lambda v: ensemble_moment(pauli_ensemble(), v), ValueError),
+    "is_k_design": (lambda v: is_k_design(pauli_ensemble(), v), ValueError),
+}
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -78,11 +108,27 @@ def test_apply_channel_matches_dense_loop(rng, top):
         (lambda: HaarQuadrature(True), QuadratureOrderError),
         (lambda: choi_block(pauli_ensemble(), True, 0), SectorRangeError),
         (lambda: choi_block(pauli_ensemble(), 0, False), SectorRangeError),
+        # A bool, an integral float and a negative int at every count site; 1 is in range at each.
+        *[
+            pytest.param(functools.partial(site, value), error, id=f"{name}-{value!r}")
+            for name, (site, error) in COUNT_SITES.items()
+            for value in (True, 1.0, -1)
+        ],
+        pytest.param(lambda: SectorStructure(2).index(1, 0.5), SectorRangeError, id="index-0.5"),
     ],
 )
 def test_int_arguments_reject_bool(call, error):
-    with pytest.raises(error):
+    """Each count site raises exactly its own error type, whatever the message (``fock._count``)."""
+    with pytest.raises(error) as info:
         call()
+    assert info.type is error
+
+
+def test_numpy_integer_counts_are_kept_as_int():
+    # A report built from a numpy count must still serialize.
+    assert type(SectorStructure(np.int64(2)).max_photons) is int
+    assert type(HaarQuadrature(np.uint8(2)).order) is int
+    json.dumps(security_report(pauli_ensemble(), np.int64(2)).to_json_dict())
 
 
 def test_apply_channel_depolarizes_single_photon():

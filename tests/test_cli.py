@@ -134,6 +134,23 @@ def test_analyze_custom_ensemble_file(capsys, tmp_path):
     assert json.loads(out)["classification"] == "SECURE"
 
 
+def test_unnamed_ensemble_file_is_named_by_its_path_in_every_payload(capsys, tmp_path):
+    path = tmp_path / "unnamed.json"
+    data = ensemble_to_json_dict(photonpad.pauli_ensemble())
+    del data["name"]
+    path.write_text(json.dumps(data))
+    a = write_source(tmp_path, "a.json", 1.0, 0.0, (0.6, 0.8))
+    b = write_source(tmp_path, "b.json", 0.0, 1.0, (0.6, 0.8))
+    commands = [
+        ["design-check", "--ensemble", str(path), "--k", "1"],
+        ["analyze", "--ensemble", str(path), "--max-photons", "1"],
+        ["leakage", "--ensemble", str(path), "--max-photons", "1", a, b],
+    ]
+    for argv in commands:
+        _, out, err = run(capsys, *argv)
+        assert json.loads(out)["ensemble"] == str(path), (argv, err)
+
+
 def test_reproduce_appendix_a(capsys):
     code, out, _ = run(capsys, "reproduce", "appendix-a")
     assert code == 0
@@ -184,7 +201,7 @@ def test_reproduce_appendix_b_names_the_bad_complex_literal(capsys, flag):
 
 
 @pytest.mark.parametrize("argv", [
-    ["reproduce", "appendix-b", "--c", "-i", "--alpha", "1", "--beta", "0"],
+    ["reproduce", "appendix-b", "--c", "-i", "--alpha", "-i", "--beta", "0"],
     ["lift", "--n", "1", "--unitary", "-0.2920676904815,0.956397649608573,-0.956397649608573,-0.2920676904815"],
 ], ids=["appendix-b", "lift"])
 def test_minus_led_complex_value_may_be_a_separate_token(capsys, argv):
@@ -193,6 +210,12 @@ def test_minus_led_complex_value_may_be_a_separate_token(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "") and out
     assert run(capsys, *joined) == (code, out, err)
+    # Options are spelled in full: an abbreviation fails in either form, as one line on stderr.
+    for k in [k for k, token in enumerate(argv) if token.startswith("--") and len(token) > 3]:
+        short = argv[k][:-1]
+        for abbreviated in (argv[:k] + [short] + argv[k + 1 :], argv[:k] + [f"{short}={argv[k + 1]}"] + argv[k + 2 :]):
+            code, out, err = run(capsys, *abbreviated)
+            assert (code, out) == (1, "") and err.count("\n") == 1, abbreviated
 
 
 @pytest.mark.parametrize("argv", [
