@@ -36,7 +36,7 @@ from . import __version__
 from .channels import parity_dephase, photon_number_dephase
 from .designs import WeightedEnsemble, is_k_design, key_length, load_ensemble
 from .errors import ParseError, PhotonPadError
-from .fock import SourceSpec, _json_pairs
+from .fock import SourceSpec, _json_pairs, _read_json_object
 from .security import (
     Classification,
     leakage,
@@ -301,15 +301,10 @@ def _render_reproduce_b(payload: dict) -> str:
 
 def _cmd_leakage(args) -> tuple[dict, int]:
     ensemble, name = _load_ensemble(args)
-    sources = []
-    for path in (args.source_a, args.source_b):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                sources.append(SourceSpec.from_json(fh.read()))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read source spec {path!r}: {exc}") from exc
+    a, b = (SourceSpec.from_json_dict(_read_json_object(path, "source file"))
+            for path in (args.source_a, args.source_b))
     pre = {"none": None, "parity": parity_dephase, "photon-number": photon_number_dephase}[args.dephase]
-    value = leakage(ensemble, sources[0], sources[1], args.max_photons, pre_channel=pre)
+    value = leakage(ensemble, a, b, args.max_photons, pre_channel=pre)
     payload = {
         "ensemble": name,
         "max_photons": args.max_photons,

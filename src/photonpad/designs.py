@@ -44,7 +44,6 @@ definition, not a gauge choice.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -52,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotUnitaryError, ParseError, WeightSumError
-from .fock import _count, _json_complex, _json_number
+from .fock import _count, _json_complex, _json_number, _read_json_object, _tolerance
 from .su2 import _check_qubit_unitaries, _choi_block, _haar_deviation, _lift_sweep, _moment, _multiplicity
 
 __all__ = [
@@ -92,9 +91,9 @@ class WeightedEnsemble:
         # cannot change an ensemble that was validated here.
         us = np.array(self.unitaries, dtype=np.complex128)
         ws = np.array(self.weights, dtype=np.float64)
-        if us.ndim != 3 or us.shape[1:] != (2, 2) or us.shape[0] == 0:
-            raise NotUnitaryError(f"expected shape (m, 2, 2), got {us.shape}")
         object.__setattr__(self, "_unitarity_residual", _check_qubit_unitaries(us))
+        if not us.shape[0]:
+            raise NotUnitaryError("an ensemble needs at least one element")
         if ws.shape != (us.shape[0],):
             raise WeightSumError(f"need {us.shape[0]} weights, got shape {ws.shape}")
         if not np.all(np.isfinite(ws)):
@@ -301,7 +300,7 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
     A k-design is a design at every lower order, so checking the target
     order suffices.
     """
-    k, tol = _count(k, "k", lo=1, error=ValueError), float(tol)
+    k, tol = _count(k, "k", lo=1, error=ValueError), _tolerance(tol)
     lower, potential = _frame_potentials(ensemble, k)
     haar = haar_frame_potential(k)
     gap = potential - haar
@@ -359,19 +358,12 @@ def load_ensemble(name_or_path: str | os.PathLike) -> WeightedEnsemble:
     if isinstance(name_or_path, str) and name_or_path in builders:
         return builders[name_or_path]()
     try:
-        with open(name_or_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
+        data = _read_json_object(name_or_path, "ensemble file")
+    except ParseError as exc:
+        if not isinstance(exc.__cause__, FileNotFoundError):
+            raise
         raise ParseError(
             f"no ensemble named {name_or_path!r}: not a built-in "
             f"({', '.join(sorted(builders))}) and no such file"
         ) from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read ensemble file {name_or_path!r}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-        raise ParseError(f"invalid JSON in {name_or_path!r}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError("ensemble JSON must be an object")
     return ensemble_from_json_dict(data)

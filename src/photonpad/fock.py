@@ -24,10 +24,12 @@ corresponds to the normalized symmetric state with ``k`` zeros.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +58,56 @@ def _count(value, name: str, lo: int = 0, hi: int | None = None, error: type = S
     raise error(f"{name} must be an int in [{lo}, {top}], got {value!r}")
 
 
-def _norm_sq(amplitudes) -> float:
-    """sum |z|^2, which is inf (never an OverflowError) once a square exceeds the float range."""
-    return sum(abs(z) * abs(z) for z in amplitudes)
+def _tolerance(value, name: str = "tol") -> float:
+    """The package's one rule for a verdict tolerance: a finite int, float or numpy real > 0, not a bool.
+
+    Returns it as a float. Anything else, a string, NaN or infinity included, raises ValueError, so no
+    verdict is taken at a tolerance that every deviation passes or none does.
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    number = float(value) if isinstance(value, np.floating) else value  # a float32 would compare in float32
+    if real and 0 < number <= sys.float_info.max:  # exact for an int, so one past the float range fails
+        return float(value)
+    raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def _unit_amplitudes(values, what: str) -> tuple[complex, ...]:
+    """The package's one rule for an amplitude vector: finite complex numbers, at least one, sum |z|^2 = 1.
+
+    The sum must be 1 within ``NORM_TOL``. It is a sum of products, which reach inf past the float range
+    where ``abs`` or ``**`` would raise OverflowError. Returns the amplitudes as a tuple of complex;
+    anything else raises NormalizationError.
+    """
+    amps = tuple(map(complex, values))
+    if not amps:
+        raise NormalizationError(f"{what} must be non-empty")
+    bad = [z for z in amps if not cmath.isfinite(z)]
+    if bad:
+        raise NormalizationError(f"{what} must be finite, got {bad[0]!r}")
+    norm = sum(z.real * z.real + z.imag * z.imag for z in amps)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise NormalizationError(f"sum |z|^2 over {what} = {norm!r} is not 1 within {NORM_TOL}")
+    return amps
+
+
+def _read_json_object(path, what: str) -> dict:
+    """The package's one reader of an input file: the JSON object the file at ``path`` holds.
+
+    An unreadable file, invalid or too deeply nested JSON, or a value other than an object raises
+    ParseError naming ``what`` and the path; the OSError of an unreadable file is its ``__cause__``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
+        raise ParseError(f"cannot read {what} {path!r}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int past the digit limit
+        raise ParseError(f"invalid JSON in {what} {path!r}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} {path!r} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _json_number(value) -> float:
@@ -83,13 +132,6 @@ def _json_pairs(mat) -> list:
     """
     m = np.asarray(mat)
     return np.stack((m.real, m.imag), -1).tolist()
-
-
-def _as_complex(value, what: str) -> complex:
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NormalizationError(f"{what} must be finite, got {value!r}")
-    return z
 
 
 @functools.cache
@@ -147,11 +189,9 @@ class PolarizationSpec:
     beta: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _as_complex(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _as_complex(self.beta, "beta"))
-        norm = _norm_sq((self.alpha, self.beta))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NormalizationError(f"|alpha|^2 + |beta|^2 = {norm!r} is not 1 within {NORM_TOL}")
+        alpha, beta = _unit_amplitudes((self.alpha, self.beta), "(alpha, beta)")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)
@@ -167,24 +207,12 @@ class SourceSpec:
     photon_amplitudes: tuple[complex, ...]
 
     def __post_init__(self):
-        amps = tuple(_as_complex(c, "photon amplitude") for c in self.photon_amplitudes)
-        if not amps:
-            raise NormalizationError("photon_amplitudes must be non-empty")
+        amps = _unit_amplitudes(self.photon_amplitudes, "photon_amplitudes")
         object.__setattr__(self, "photon_amplitudes", amps)
-        norm = _norm_sq(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise NormalizationError(f"sum |c_n|^2 = {norm!r} is not 1 within {NORM_TOL}")
 
     @property
     def max_photons(self) -> int:
         return len(self.photon_amplitudes) - 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": [self.polarization.alpha.real, self.polarization.alpha.imag],
-            "beta": [self.polarization.beta.real, self.polarization.beta.imag],
-            "photon_amplitudes": [[c.real, c.imag] for c in self.photon_amplitudes],
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceSpec":
@@ -195,16 +223,6 @@ class SourceSpec:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed source spec: {exc}") from exc
         return cls(PolarizationSpec(alpha, beta), amps)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SourceSpec":
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
-            raise ParseError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ParseError("source spec JSON must be an object")
-        return cls.from_json_dict(data)
 
 
 def build_source_state(source: SourceSpec, structure: SectorStructure) -> np.ndarray:

@@ -30,9 +30,10 @@ The module also packages two fixed reference computations used as
 end-to-end checks (and exposed by the command line as ``reproduce
 appendix-a`` and ``reproduce appendix-b``): the nonzero (2,1) Choi block
 that breaks privacy of the twelve-element rotation ensemble for sources
-mixing one- and two-photon components, and the closed-form encrypted output
-for a vacuum + two-photon source showing polarization erasure within fixed
-parity.
+mixing one- and two-photon components, held against the read-only
+constant ``_APPENDIX_A``, and the closed-form encrypted output for a vacuum +
+two-photon source showing polarization erasure within fixed parity. Every
+verdict takes its ``tol`` through ``fock._tolerance``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .channels import _dephasing_period, _group_labels, choi_block
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
-from .fock import NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, _source_rows
+from .fock import NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, _source_rows, _tolerance
 from .linalg import frobenius
 from .su2 import _check_pure_density, _haar_deviation
 
@@ -56,7 +57,6 @@ __all__ = [
     "SecurityReport",
     "security_report",
     "leakage",
-    "AppendixAReference",
     "reproduce_appendix_a",
     "reproduce_appendix_b",
 ]
@@ -129,7 +129,7 @@ def security_report(
     blocks with m <= n are computed: C_nm = C_mn^dag, so the table is
     symmetric by construction and ``worst_block`` is never decided by rounding.
     """
-    top = SectorStructure(max_photons).max_photons  # validates max_photons
+    top, tol = SectorStructure(max_photons).max_photons, _tolerance(tol)
     deviations = np.zeros((top + 1, top + 1))
     for m in range(top + 1):
         for n in range(m, top + 1):
@@ -138,7 +138,7 @@ def security_report(
     return SecurityReport(
         ensemble_name=ensemble.name or "ensemble",
         max_photons=top,
-        tol=float(tol),
+        tol=tol,
         deviations=deviations,
         classification=_classify(deviations, tol),
     )
@@ -239,41 +239,21 @@ def _signed_group_norm(w: np.ndarray, signed: np.ndarray, columns) -> float:
     return float(total)
 
 
-@dataclass(frozen=True)
-class AppendixAReference:
-    """Fixed reference for the twelve-rotation ensemble's (2,1) Choi block.
-
-    The 9x4 block in the descending-k product basis (first tensor factor
-    major) is fully determined by three constants in a sparse sign pattern;
-    16 entries are nonzero (2 of modulus |a|, 10 of |b|, 4 of c) and the
-    basis-independent checksum is ||C||_F^2 = 2|a|^2 + 10|b|^2 + 4c^2 = 1/2.
-    A nonzero cross-sector block certifies that the ensemble is not private
-    for plaintexts mixing one- and two-photon components.
-    """
-
-    a: complex = (3 + 1j) / 12
-    b: complex = (1 + 1j) / 12
-    c: float = 1.0 / (3.0 * math.sqrt(2.0))
-
-    def matrix(self) -> np.ndarray:
-        a, b, c = self.a, self.b, self.c
-        bc = np.conj(b)
-        rows = [
-            [a, 0, 0, -b],
-            [0, c, 0, 0],
-            [0, b, -bc, 0],
-            [0, 0, c, 0],
-            [bc, -bc, b, b],
-            [0, c, 0, 0],
-            [0, b, -bc, 0],
-            [0, 0, c, 0],
-            [-bc, 0, 0, np.conj(a)],
-        ]
-        return np.array(rows, dtype=np.complex128)
-
-    @property
-    def checksum(self) -> float:
-        return 2 * abs(self.a) ** 2 + 10 * abs(self.b) ** 2 + 4 * self.c**2
+# The twelve-rotation ensemble's (2,1) Choi block in the descending-k product
+# basis (first tensor factor major) is fully determined by three constants
+# a, b, c in a sparse sign pattern; 16 entries are nonzero (2 of modulus |a|,
+# 10 of |b|, 4 of c) and the basis-independent checksum is
+# ||C||_F^2 = 2|a|^2 + 10|b|^2 + 4c^2 = 1/2. A nonzero cross-sector block
+# certifies that the ensemble is not private for plaintexts mixing one- and
+# two-photon components. Read-only, since every result shares it.
+_a, _b, _c = (3 + 1j) / 12, (1 + 1j) / 12, 1.0 / (3.0 * math.sqrt(2.0))
+_bc = _b.conjugate()
+_APPENDIX_A = np.array([
+    [_a, 0, 0, -_b], [0, _c, 0, 0], [0, _b, -_bc, 0], [0, 0, _c, 0], [_bc, -_bc, _b, _b],
+    [0, _c, 0, 0], [0, _b, -_bc, 0], [0, 0, _c, 0], [-_bc, 0, 0, _a.conjugate()],
+])
+_APPENDIX_A.setflags(write=False)
+_APPENDIX_A_CHECKSUM = 2 * abs(_a) ** 2 + 10 * abs(_b) ** 2 + 4 * _c**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,17 +294,16 @@ def reproduce_appendix_a(tol: float = 1e-10) -> AppendixAResult:
     ||C||_F^2 = 1/2, and that the block is nonzero at all (the insecurity
     witness).
     """
-    reference = AppendixAReference()
+    tol = _tolerance(tol)
     computed = choi_block(clifford12_ensemble(), 2, 1)
-    ref = reference.matrix()
     checksum = float(np.sum(np.abs(computed) ** 2))
     return AppendixAResult(
         computed=computed,
-        reference=ref,
-        max_deviation=float(np.abs(computed - ref).max()),
+        reference=_APPENDIX_A,
+        max_deviation=float(np.abs(computed - _APPENDIX_A).max()),
         checksum=checksum,
-        checksum_deviation=abs(checksum - reference.checksum),
-        tol=float(tol),
+        checksum_deviation=abs(checksum - _APPENDIX_A_CHECKSUM),
+        tol=tol,
     )
 
 
@@ -362,9 +341,9 @@ def reproduce_appendix_b(
     independent of the polarization: within the fixed parity the scheme
     erases everything except the photon-number distribution.
     """
-    c = complex(c)
-    if abs(c) * abs(c) - 1.0 > NORM_TOL:  # SourceSpec's sum, so its own norm check cannot fail below
-        raise NormalizationError(f"|c| = {abs(c)!r} exceeds 1")
+    c, tol = complex(c), _tolerance(tol)
+    if c.real * c.real + c.imag * c.imag - 1.0 > NORM_TOL:  # SourceSpec's sum, so its check cannot fail below
+        raise NormalizationError(f"|c| = {math.hypot(c.real, c.imag)!r} exceeds 1")  # abs(c) may overflow
     polarization = PolarizationSpec(alpha, beta)
     weight = min(abs(c) ** 2, 1.0)
     source = SourceSpec(polarization, (c, 0.0, math.sqrt(1.0 - weight)))
@@ -379,6 +358,6 @@ def reproduce_appendix_b(
         output=output,
         reference=reference,
         deviation=frobenius(output - reference),
-        tol=float(tol),
+        tol=tol,
     )
 

@@ -20,7 +20,7 @@ from photonpad.designs import (
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_source_state
 from photonpad.linalg import trace_norm
 from photonpad.security import (
-    AppendixAReference,
+    _APPENDIX_A,
     Classification,
     leakage,
     reproduce_appendix_b,
@@ -38,7 +38,7 @@ def _require(failures, condition, message):
 
 def test_appendix_a_choi_block_reproduction():
     computed = choi_block(clifford12_ensemble(), 2, 1)
-    reference = AppendixAReference().matrix()
+    reference = _APPENDIX_A
     assert np.abs(computed - reference).max() <= 1e-12
     assert abs(np.linalg.norm(computed) ** 2 - 0.5) <= 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 import photonpad
 
 PUBLIC = [
-    "AppendixAReference", "Classification", "DesignCheck", "DimensionError", "HaarQuadrature",
+    "Classification", "DesignCheck", "DimensionError", "HaarQuadrature",
     "NormalizationError", "NotDensityOperatorError", "NotUnitaryError", "ParseError", "PhotonPadError",
     "PolarizationSpec", "QuadratureOrderError", "SectorRangeError", "SectorStructure", "SecurityReport",
     "SourceSpec", "WeightSumError", "WeightedEnsemble", "__version__", "apply_channel", "as_choi_operator",

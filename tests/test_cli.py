@@ -478,6 +478,14 @@ def test_ensemble_elements_not_a_list_fails_closed(capsys, tmp_path):
     assert_fails_closed(capsys, "analyze", "--ensemble", str(path))
 
 
+def test_deeply_nested_input_file_fails_closed(capsys, tmp_path):
+    # json.loads raises RecursionError here, which used to end the process with a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert_fails_closed(capsys, "analyze", "--ensemble", str(path))
+    assert_fails_closed(capsys, "leakage", "--ensemble", "pauli", "--max-photons", "1", str(path), str(path))
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_unitary_fails_closed(capsys, tmp_path):
     assert_fails_closed(capsys, "lift", "--n", "2", "--unitary", "1e308,0,0,1")
@@ -489,8 +497,12 @@ def test_overflowing_unitary_fails_closed(capsys, tmp_path):
 
 def test_overflowing_amplitude_fails_closed(capsys, tmp_path):
     assert_fails_closed(capsys, "reproduce", "appendix-b", "--c", "0.5", "--alpha", "1e200", "--beta", "0")
+    assert_fails_closed(capsys, "reproduce", "appendix-b", "--c", "1.7e308+1.7e308i", "--alpha", "1", "--beta", "0")
     a = write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 1.0))
     b = write_source(tmp_path, "b.json", 1.0, 0.0, (0.0, 1.5e154))
+    assert_fails_closed(capsys, "leakage", "--ensemble", "pauli", "--max-photons", "1", a, b)
+    # |z| itself past the float range: abs(z) used to raise OverflowError
+    b = write_source(tmp_path, "b.json", 1.0, 0.0, (0.0, complex(1.7e308, 1.7e308)))
     assert_fails_closed(capsys, "leakage", "--ensemble", "pauli", "--max-photons", "1", a, b)
 
 

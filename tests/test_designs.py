@@ -375,10 +375,10 @@ def test_screen_leaves_the_band_to_the_exact_path(lift_sweeps, angle):
     assert abs(check.moment_deviation - exact) <= 1e-12 * exact
 
 
-@pytest.mark.parametrize("tol", [1e-9, 1e-3, 1.0, math.sqrt(2), 1.5, 1e300, math.inf, math.nan])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 1.0, math.sqrt(2), 1.5, 1e300])
 def test_screen_verdict_matches_the_exact_path_at_any_tol(tol):
     # pauli's second-moment deviation is sqrt(2), gap 2: the screen fails it
-    # only for tol^2 + B < 2, and the Python API takes tolerances of any size.
+    # only for tol^2 + B < 2, and the Python API takes any finite tolerance > 0.
     pauli = pauli_ensemble()
     assert is_k_design(pauli, 2, tol).passed == (_spin_block_deviation(pauli, 2) <= tol)
 

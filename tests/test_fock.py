@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from photonpad.fock import (
     SourceSpec,
     _binomial_layout,
     _json_pairs,
+    _read_json_object,
+    _tolerance,
     build_source_state,
     symmetric_embedding,
 )
@@ -83,24 +86,57 @@ def test_source_spec_normalization_and_max_photons():
         SourceSpec(PolarizationSpec(1.0, 0.0), (1.0, 1.0))
 
 
-def test_source_spec_json_round_trip():
+def test_source_spec_json_round_trip(tmp_path):
     src = SourceSpec(PolarizationSpec(0.6, 0.8j), (0.0, 0.6, 0.8j))
-    again = SourceSpec.from_json(json.dumps(src.to_json_dict()))
+    path = tmp_path / "source.json"
+    pol = src.polarization
+    pairs = {"alpha": pol.alpha, "beta": pol.beta, "photon_amplitudes": np.array(src.photon_amplitudes)}
+    path.write_text(json.dumps({key: _json_pairs(value) for key, value in pairs.items()}))
+    again = SourceSpec.from_json_dict(_read_json_object(path, "source file"))
     assert again.polarization.alpha == src.polarization.alpha
     assert again.polarization.beta == src.polarization.beta
     assert np.array_equal(again.photon_amplitudes, src.photon_amplitudes)
 
 
 def test_source_spec_parse_errors():
-    with pytest.raises(ParseError):
-        SourceSpec.from_json("[1, 2, 3]")
-    with pytest.raises(ParseError):
-        SourceSpec.from_json(json.dumps({"alpha": [1.0, 0.0], "beta": [0.0, 0.0]}))
+    for data in ([1, 2, 3], {"alpha": [1.0, 0.0], "beta": [0.0, 0.0]}):
+        with pytest.raises(ParseError):
+            SourceSpec.from_json_dict(data)
     # [re, im] pairs of JSON numbers only; [] used to read as 0
     amps = [[0.0, 0.0], [1.0, 0.0]]
     for alpha, beta in (([], [1, 0]), ([True, False], [0, 0]), (["1", 0], [0, 0]), ([10**400, 0], [0, 0])):
         with pytest.raises(ParseError):
-            SourceSpec.from_json(json.dumps({"alpha": alpha, "beta": beta, "photon_amplitudes": amps}))
+            SourceSpec.from_json_dict({"alpha": alpha, "beta": beta, "photon_amplitudes": amps})
+
+
+@pytest.mark.parametrize("kind, content", [
+    ("missing", None), ("directory", None), ("undecodable", b"\xff\xfe"), ("invalid", b"{"),
+    ("deep", b"[" * 100_000), ("array", b"[1, 2]"), ("string", b'"{}"'),
+], ids=lambda x: x if isinstance(x, str) else "")
+def test_read_json_object_names_the_file_in_every_failure(tmp_path, kind, content):
+    path = tmp_path / f"{kind}.json"
+    if kind == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ParseError, match=f"^[^\n]*source file '[^']*{kind}.json'") as info:
+        _read_json_object(str(path), "source file")
+    assert isinstance(info.value.__cause__, FileNotFoundError) == (kind == "missing")
+
+
+@pytest.mark.parametrize("value", [1, 1e-9, 5e-324, 1e300, sys.float_info.max, np.float32(1e-3), np.int64(2)])
+def test_tolerance_accepts_a_finite_positive_real_as_a_float(value):
+    tol = _tolerance(value)
+    assert type(tol) is float and tol == float(value)
+
+
+@pytest.mark.parametrize("value", [
+    0, 0.0, -1e-9, math.inf, -math.inf, math.nan, np.float64("nan"), np.float32("inf"), 10**400,
+    True, np.bool_(True), "1e-9", None, 1e-9 + 0j, np.array([1e-9]),
+])
+def test_tolerance_refuses_everything_else(value):
+    with pytest.raises(ValueError, match="^tol must be a finite number > 0, got "):
+        _tolerance(value)
 
 
 def test_build_source_state_two_photon_amplitudes():

@@ -14,6 +14,13 @@ neighbouring photon numbers. The nodes of ``HaarQuadrature(K)`` form an exact
 K-design, so its report is SECURE at N = K and PARITY_SECURE at N = K + 1, and
 its leakage is the photon-number total variation distance wherever no such
 coherence survives.
+
+Two relations join the verdicts. The deviation table brackets the leakage:
+TV_n <= leakage <= TV_n + lambda_max(D), TV_n the photon-number total
+variation distance and D_mn = sqrt(min(m, n) + 1) Delta_mn over the blocks the
+pre-channel keeps. And the design order bounds the table: a t-design whose
+elements all have determinant one has Delta_mn = 0 on every same-parity block
+with m + n <= 2t.
 """
 
 import numpy as np
@@ -22,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonpad.channels import parity_dephase, photon_number_dephase
-from photonpad.designs import WeightedEnsemble
+from photonpad.designs import WeightedEnsemble, clifford12_ensemble, is_k_design, pauli_ensemble
 from photonpad.fock import PolarizationSpec, SourceSpec
 from photonpad.security import Classification, leakage, security_report
 from photonpad.su2 import HaarQuadrature
@@ -153,3 +160,58 @@ def test_quadrature_design_leaks_more_through_parity_coherence():
         excess.append(leakage(e, a, b, 5) - photon_number_distance(a, b, 5))
     assert min(excess) >= -1e-14
     assert max(excess) > 1e-6
+
+
+@pytest.mark.parametrize("size", [None, 4, 12, 24], ids=lambda s: "clifford12" if s is None else f"random-{s}")
+def test_deviation_table_brackets_the_leakage(size):
+    # E keeps the photon-number distribution, so the leakage is at least TV_n. Block (m, n) of
+    # (E - E_Haar)(X) has trace norm at most sqrt(min(m, n) + 1) Delta_mn ||X_mn||_F, and the
+    # blocks of rho_a - rho_b have Frobenius norms at most those of two unit vectors, so the
+    # leakage beyond TV_n is at most the largest eigenvalue of D over the blocks the pre-channel keeps.
+    rng = np.random.default_rng(size)
+    for _ in range(10):
+        e = clifford12_ensemble() if size is None else random_ensemble(rng, size)
+        top = int(rng.integers(1, 9))
+        deviations = security_report(e, top).deviations
+        m, n = np.indices(deviations.shape)
+        scaled = np.sqrt(np.minimum(m, n) + 1) * deviations
+        a, b = random_source(rng, top), random_source(rng, top)
+        floor = photon_number_distance(a, b, top)
+        for pre, keep in zip(PRE_CHANNELS, (m >= 0, (m - n) % 2 == 0, m == n)):
+            reach = np.linalg.eigvalsh(np.where(keep, scaled, 0)).max()
+            value = leakage(e, a, b, top, pre_channel=pre)
+            assert floor - 1e-12 <= value <= floor + reach + 1e-12, (top, pre)
+
+
+def det_one_twist(ensemble, seed):
+    """The copy V U_j W with V, W seeded random elements of SU(2) and each U_j scaled to determinant one."""
+    rng = np.random.default_rng(seed)
+    v, w, us = (u / np.sqrt(np.linalg.det(u))[..., None, None]
+                for u in (random_unitary(rng), random_unitary(rng), ensemble.unitaries))
+    return WeightedEnsemble(v @ us @ w, ensemble.weights)
+
+
+@pytest.mark.parametrize("ensemble, order", [
+    pytest.param(pauli_ensemble(), 1, id="pauli"),
+    pytest.param(clifford12_ensemble(), 2, id="clifford12"),
+    pytest.param(quadrature_design(1), 2, id="haar1"),
+    pytest.param(quadrature_design(2), 4, id="haar2"),
+])
+def test_design_order_gives_a_parity_horizon(ensemble, order):
+    # With det U = 1, conj U = sigma_y U sigma_y, so the entries of C_mn with m = n (mod 2) are
+    # balanced moments of degree (m + n)/2, which a t-design reproduces up to m + n = 2t.
+    e = det_one_twist(ensemble, order)
+    assert is_k_design(e, order).passed and not is_k_design(e, order + 1).passed
+    deviations = security_report(e, 2 * order + 2).deviations
+    m, n = np.indices(deviations.shape)
+    same = (m - n) % 2 == 0
+    assert deviations[same & (m + n <= 2 * order)].max() <= 1e-14
+    assert deviations[same & (m + n == 2 * order + 2)].max() > 0.1
+
+
+def test_unequal_determinants_break_the_parity_horizon():
+    # pauli's determinants are 1, -1, -1, -1: a 1-design whose (0, 2) block is sqrt(3)/2, which its
+    # determinant-one copy above sets to zero.
+    pauli = pauli_ensemble()
+    assert is_k_design(pauli, 1).passed
+    assert abs(security_report(pauli, 2).deviation(0, 2) - np.sqrt(3) / 2) <= 1e-12

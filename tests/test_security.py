@@ -12,7 +12,8 @@ from photonpad.designs import WeightedEnsemble, clifford12_ensemble, is_k_design
 from photonpad.errors import DimensionError, NormalizationError, NotDensityOperatorError, NotUnitaryError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, _source_rows, build_source_state
 from photonpad.security import (
-    AppendixAReference,
+    _APPENDIX_A,
+    _APPENDIX_A_CHECKSUM,
     Classification,
     _classify,
     leakage,
@@ -62,7 +63,7 @@ EXACT_ENSEMBLES = [pauli_ensemble(), clifford12_ensemble()]
 # have dense lifts, whose zero blocks round to about 1.1e-15 where the sparse
 # lifts of pauli and clifford12 stay below 1e-15.
 CHARACTER_ORACLE_CASES = [
-    *[pytest.param(e, top, 1e-15, id=f"{e.name}-{top}") for top in (8, 16) for e in EXACT_ENSEMBLES],
+    *[pytest.param(e, top, 1e-15, id=f"{e.name}-{top}") for top in (8, 16, 24) for e in EXACT_ENSEMBLES],
     *[pytest.param(twisted(e, 5), 16, 4e-15, id=f"{e.name}-twisted-16") for e in EXACT_ENSEMBLES],
 ]
 
@@ -87,6 +88,31 @@ def test_security_report_matches_exact_character_oracle(ensemble, top, zero_boun
     else:
         expected = Classification.INSECURE
     assert report.classification is expected
+
+
+VERDICTS = {
+    "security_report": lambda tol: security_report(pauli_ensemble(), 3, tol),
+    "is_k_design": lambda tol: is_k_design(pauli_ensemble(), 3, tol),
+    "reproduce_appendix_a": reproduce_appendix_a,
+    "reproduce_appendix_b": lambda tol: reproduce_appendix_b(0.6, 0.8, 0.6, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9, True, "1e-9"])
+@pytest.mark.parametrize("verdict", VERDICTS)
+def test_verdicts_refuse_a_tolerance_that_decides_nothing(verdict, tol):
+    # An infinite tolerance used to make pauli SECURE at N = 3 and a 3-design.
+    with pytest.raises(ValueError, match="^tol must be a finite number > 0, got "):
+        VERDICTS[verdict](tol)
+
+
+@pytest.mark.parametrize("verdict", VERDICTS)
+def test_verdicts_record_the_tolerance_they_decide_with(verdict):
+    for tol in (np.float32(1e-3), np.int64(1)):
+        result = VERDICTS[verdict](tol)
+        assert type(result.tol) is float and result.tol == float(tol)
+        if verdict == "security_report":
+            assert result.classification is _classify(result.deviations, result.tol)
 
 
 def test_nan_deviation_never_passes():
@@ -467,12 +493,12 @@ def test_ensemble_is_validated_once(monkeypatch, rng):
 
 
 def test_appendix_a_reference_pattern():
-    ref = AppendixAReference()
-    mat = ref.matrix()
+    mat = _APPENDIX_A
     assert mat.shape == (9, 4)
+    assert not mat.flags.writeable
     assert np.count_nonzero(np.abs(mat) > 1e-14) == 16
-    assert np.isclose(ref.checksum, 0.5, atol=1e-14)
-    assert np.isclose(np.linalg.norm(mat) ** 2, ref.checksum, atol=1e-14)
+    assert np.isclose(_APPENDIX_A_CHECKSUM, 0.5, atol=1e-14)
+    assert np.isclose(np.linalg.norm(mat) ** 2, _APPENDIX_A_CHECKSUM, atol=1e-14)
     assert mat[0, 0] == (3 + 1j) / 12
     assert mat[8, 3] == (3 - 1j) / 12
 
