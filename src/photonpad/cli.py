@@ -36,7 +36,7 @@ from . import __version__
 from .channels import parity_dephase, photon_number_dephase
 from .designs import WeightedEnsemble, is_k_design, key_length, load_ensemble
 from .errors import ParseError, PhotonPadError
-from .fock import SourceSpec, _json_pairs, _read_json_object
+from .fock import MAX_TOL, SourceSpec, _json_pairs, _read_json_object, _tolerance
 from .security import (
     Classification,
     leakage,
@@ -50,7 +50,6 @@ __all__ = ["main", "parse_complex"]
 
 MAX_PHOTON_BOUND = 8
 MAX_DESIGN_ORDER = 5
-MAX_TOL = 1e-3
 
 _CLASSIFICATION_EXIT = {
     Classification.SECURE: 0,
@@ -89,27 +88,25 @@ def _fmt_matrix(rows: list) -> list[str]:
     return ["  " + " ".join(_fmt_complex(re, im) for re, im in row) for row in rows]
 
 
-def _in_range(kind: type, lo, hi, low_open: bool = False):
-    """An argparse type: ``kind(token)`` within [lo, hi], or (lo, hi] when ``low_open``.
+def _int_in(lo: int, hi: int):
+    """An argparse type: an int within [lo, hi]. A token that does not parse reads "invalid int value: ..."."""
 
-    It carries the name of ``kind``, so a token that does not parse still reads
-    "invalid int value: ..."; a value out of range reads "must be in ...".
-    """
-
-    def parse(token: str):
-        value = kind(token)
-        inside = lo < value <= hi if low_open else lo <= value <= hi  # NaN is never inside
-        if not inside:
-            raise argparse.ArgumentTypeError(f"must be in {'(' if low_open else '['}{lo:g}, {hi:g}], got {value}")
+    def parse(token: str) -> int:
+        value = int(token)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
         return value
 
-    parse.__name__ = kind.__name__
+    parse.__name__ = "int"
     return parse
 
 
-# A tolerance above MAX_TOL would pass deviations of order one, so a verdict at
-# it says nothing: pauli's (2,2) block deviates by sqrt(2).
-_TOL = _in_range(float, 0, MAX_TOL, low_open=True)
+def _tol(token: str) -> float:
+    """``fock._tolerance`` as an argparse type: argparse prints its message, as for ``_complex``."""
+    try:
+        return _tolerance(float(token))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _complex(token: str) -> complex:
@@ -151,14 +148,14 @@ def _build_parser() -> argparse.ArgumentParser:
         # parent share its actions, so one default would leak into the others.
         p = subparsers.add_parser(name, parents=[common], **kwargs)
         if tol is not None:
-            p.add_argument("--tol", type=_TOL, default=tol, help=f"numerical tolerance, in (0, {MAX_TOL:g}]")
+            p.add_argument("--tol", type=_tol, default=tol, help=f"numerical tolerance, in (0, {MAX_TOL:g}]")
         p.set_defaults(run=run, render=render)
         return p
 
-    photons, sector = _in_range(int, 1, MAX_PHOTON_BOUND), _in_range(int, 0, MAX_PHOTON_BOUND)
+    photons, sector = _int_in(1, MAX_PHOTON_BOUND), _int_in(0, MAX_PHOTON_BOUND)
     p = command(sub, "design-check", _cmd_design_check, _render_design_check, 1e-9, help="k-design verification")
     p.add_argument("--ensemble", required=True, help="builtin name (pauli, clifford12) or JSON path")
-    p.add_argument("--k", type=_in_range(int, 1, MAX_DESIGN_ORDER), required=True,
+    p.add_argument("--k", type=_int_in(1, MAX_DESIGN_ORDER), required=True,
                    help=f"design order to certify, 1..{MAX_DESIGN_ORDER}")
 
     p = command(sub, "analyze", _cmd_analyze, _render_analyze, 1e-9, help="Choi-block security classification")

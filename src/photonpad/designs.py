@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +70,7 @@ __all__ = [
 
 WEIGHT_TOL = 1e-12
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_PROJECT_ABOVE = 16 * _UNIT_ROUNDOFF  # an element with ||U^dag U - I||_F above it is stored as its polar factor
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -78,31 +79,38 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 @dataclass(frozen=True, eq=False)
 class WeightedEnsemble:
-    """A finite ensemble of 2x2 unitaries with a probability weight each."""
+    """A finite ensemble of 2x2 unitaries with a probability weight each, stored unitary to within 16u."""
 
     unitaries: np.ndarray
     weights: np.ndarray
     name: str = ""
-    # Largest ||U^dag U - I||_F over the elements, as the one validation measured it.
-    _unitarity_residual: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        us, ws = np.asarray(self.unitaries), np.asarray(self.weights)
+        if us.dtype.kind not in "iufc":
+            raise NotUnitaryError(f"unitary entries must be numbers, got dtype {us.dtype}")
+        if ws.dtype.kind not in "iuf":
+            raise WeightSumError(f"weights must be real numbers, got dtype {ws.dtype}")
         # Own copies: the caller's arrays stay writeable, and writing to them
         # cannot change an ensemble that was validated here.
-        us = np.array(self.unitaries, dtype=np.complex128)
-        ws = np.array(self.weights, dtype=np.float64)
-        object.__setattr__(self, "_unitarity_residual", _check_qubit_unitaries(us))
+        us, ws = us.astype(np.complex128), ws.astype(np.float64)
+        residual = _check_qubit_unitaries(us)
         if not us.shape[0]:
             raise NotUnitaryError("an ensemble needs at least one element")
         if ws.shape != (us.shape[0],):
             raise WeightSumError(f"need {us.shape[0]} weights, got shape {ws.shape}")
-        if not np.all(np.isfinite(ws)):
-            raise WeightSumError("weights must be finite")
-        if np.any(ws <= 0):
-            raise WeightSumError("weights must be positive")
+        if not ((ws > 0) & (ws < math.inf)).all():  # NaN fails both
+            raise WeightSumError("weights must be finite and positive")
         total = float(ws.sum())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise WeightSumError(f"weights sum to {total!r}, not 1 within {WEIGHT_TOL}")
+        far = residual > _PROJECT_ABOVE
+        if far.any():
+            # The polar factor, by one Newton step X <- (X + X^-dag)/2 with X^-dag =
+            # [[d*, -c*], [-b*, a*]] / det(X)*: it takes a residual of 1e-10 to a few u.
+            a, b, c, d = us[far].reshape(-1, 4).T
+            inverse_dag = np.stack((d, -c, -b, a), axis=-1).conj() / (a * d - b * c).conj()[:, None]
+            us[far] = (us[far] + inverse_dag.reshape(-1, 2, 2)) / 2
         us.setflags(write=False)
         ws.setflags(write=False)
         object.__setattr__(self, "unitaries", us)
@@ -246,8 +254,7 @@ def _gap_bound(ensemble: WeightedEnsemble, k: int, lower: float, potential: floa
     """B >= |fl(F_k(e) - F_k(Haar)) - deviation^2|, deviation being the spin-block one.
 
     ``lower`` and ``potential`` are F_{k-1}(e) and F_k(e) from ``_frame_potentials``;
-    u is the unit roundoff, s the ensemble size, r its largest unitarity
-    residual and C_k = F_k(Haar). Three terms:
+    u is the unit roundoff, s the ensemble size and C_k = F_k(Haar). Two terms:
 
     * rounding, to first order in u, constants rounded up. An overlap t is a
       complex 4-term dot product, off by at most
@@ -256,24 +263,16 @@ def _gap_bound(ensemble: WeightedEnsemble, k: int, lower: float, potential: floa
       sqrt(F_k F_{k-1}) (Cauchy-Schwarz). Squaring the table adds 2k u
       relative, the k - 1 products (k - 1) u, the two weighted sums 2s u, and
       the subtraction of C_k and the sum tol^2 + B the screen compares with
-      at most 3u F_k.
-    * unitarity: the spin blocks see U_j / sqrt(det U_j). With
-      rho = (r + 16u) / sqrt(2) (16u covers the rounding of r), |det U_j| is
-      in [1 - rho, 1 + rho], which moves F_k by at most
-      ((1 - rho)^(-2k) - 1) F_k; the scaled U_j has singular values e^(+-t) with
-      2t <= atanh(rho), which moves the Haar cross term by at most
-      2 (sum q) C_k (cosh(k atanh(rho)) - 1).
+      at most 3u F_k. The spin blocks see U_j / sqrt(det U_j), and every
+      stored element is unitary within 16u (``WeightedEnsemble``), so
+      |det U_j| is within 16u / sqrt(2) of 1, which moves F_k by at most
+      16 sqrt(2) k u F_k; the Haar cross term moves only at second order.
     * weights: the cross term assumes sum q = 1 and is off by 2 |sum q - 1| C_k.
     """
     u = _UNIT_ROUNDOFF
-    rounding = u * (46 * k * math.sqrt(potential * lower) + (3 * k + 2 * ensemble.size + 4) * potential)
-    rho = (ensemble._unitarity_residual + 16 * u) / math.sqrt(2)
+    rounding = u * (46 * k * math.sqrt(potential * lower) + (26 * k + 2 * ensemble.size + 4) * potential)
     total = math.fsum(ensemble.weights.tolist())
-    unitarity = (
-        math.expm1(-2 * k * math.log1p(-rho)) * potential
-        + 4 * total * haar * math.sinh(k * math.atanh(rho) / 2) ** 2
-    )
-    return rounding + unitarity + 2 * (abs(total - 1) + u) * haar
+    return rounding + 2 * (abs(total - 1) + u) * haar
 
 
 def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> DesignCheck:
@@ -291,12 +290,12 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
     The frame-potential gap comes first, from one s x s table of
     |tr(U_i^dag U_j)|^2. It decides a check only when it fails clearly:
     gap > tol^2 + B and B <= 1e-12 gap, where B (``_gap_bound``) bounds
-    |fl(gap) - deviation^2| from the rounding of the table and of its
-    sums, from the ensemble's measured unitarity residual and from its
-    weight sum. The first condition makes the deviation exceed tol at any
-    tol; the second keeps moment_deviation = sqrt(gap) within about 5e-13
-    relative of the spin-block value. Every other check, every passing one
-    included, takes the spin blocks, and a NaN never satisfies the screen.
+    |fl(gap) - deviation^2| from the rounding of the table, of its sums and
+    of the elements' unitarity, and from the ensemble's weight sum. The
+    first condition makes the deviation exceed tol at any tol; the second
+    keeps moment_deviation = sqrt(gap) within about 5e-13 relative of the
+    spin-block value. Every other check, every passing one included, takes
+    the spin blocks, and a NaN never satisfies the screen.
     A k-design is a design at every lower order, so checking the target
     order suffices.
     """

@@ -29,7 +29,6 @@ import functools
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
+MAX_TOL = 1e-3  # a larger tol would pass order-one deviations, such as pauli's sqrt(2) on the (2,2) block
 
 
 def _count(value, name: str, lo: int = 0, hi: int | None = None, error: type = SectorRangeError) -> int:
@@ -58,36 +58,37 @@ def _count(value, name: str, lo: int = 0, hi: int | None = None, error: type = S
     raise error(f"{name} must be an int in [{lo}, {top}], got {value!r}")
 
 
-def _tolerance(value, name: str = "tol") -> float:
-    """The package's one rule for a verdict tolerance: a finite int, float or numpy real > 0, not a bool.
+def _tolerance(value) -> float:
+    """The package's one rule for a verdict tolerance: a float or numpy float in (0, ``MAX_TOL``].
 
-    Returns it as a float. Anything else, a string, NaN or infinity included, raises ValueError, so no
-    verdict is taken at a tolerance that every deviation passes or none does.
+    Returns it as a float; anything else, an int, a bool, a string or NaN included, raises ValueError.
     """
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    number = float(value) if isinstance(value, np.floating) else value  # a float32 would compare in float32
-    if real and 0 < number <= sys.float_info.max:  # exact for an int, so one past the float range fails
-        return float(value)
-    raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    number = float(value) if isinstance(value, (float, np.floating)) else math.nan  # float32(1e-3) > 1e-3 as a float
+    if 0 < number <= MAX_TOL:
+        return number
+    raise ValueError(f"tol must be a number in (0, {MAX_TOL:g}], got {value!r}")
 
 
 def _unit_amplitudes(values, what: str) -> tuple[complex, ...]:
-    """The package's one rule for an amplitude vector: finite complex numbers, at least one, sum |z|^2 = 1.
+    """The package's one rule for an amplitude vector: numbers, never a bool or a string, with sum |z|^2 = 1.
 
-    The sum must be 1 within ``NORM_TOL``. It is a sum of products, which reach inf past the float range
-    where ``abs`` or ``**`` would raise OverflowError. Returns the amplitudes as a tuple of complex;
-    anything else raises NormalizationError.
+    A number is an int, float, complex or numpy number. The sum must be 1 within ``NORM_TOL``, so an empty
+    or non-finite vector fails too. It is a sum of products, which reach inf past the float range where
+    ``abs`` or ``**`` would raise OverflowError. Returns the amplitudes as a tuple of complex; anything else
+    raises NormalizationError.
     """
-    amps = tuple(map(complex, values))
-    if not amps:
-        raise NormalizationError(f"{what} must be non-empty")
-    bad = [z for z in amps if not cmath.isfinite(z)]
-    if bad:
-        raise NormalizationError(f"{what} must be finite, got {bad[0]!r}")
-    norm = sum(z.real * z.real + z.imag * z.imag for z in amps)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise NormalizationError(f"sum |z|^2 over {what} = {norm!r} is not 1 within {NORM_TOL}")
-    return amps
+    amps, norm = [], 0.0
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (complex, float, int, np.number)):
+            raise NormalizationError(f"{what} must be numbers, got {value!r}")
+        z = complex(value)
+        amps.append(z)
+        norm += z.real * z.real + z.imag * z.imag
+    if not abs(norm - 1.0) <= NORM_TOL:
+        bad = [z for z in amps if not cmath.isfinite(z)]
+        raise NormalizationError(f"{what} must be finite, got {bad[0]!r}" if bad else
+                                 f"sum |z|^2 over {what} = {norm!r} is not 1 within {NORM_TOL}")
+    return tuple(amps)
 
 
 def _read_json_object(path, what: str) -> dict:

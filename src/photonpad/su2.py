@@ -18,10 +18,12 @@ stack of unitaries at once. Every step compresses a unitary through an
 isometry, so rounding error grows about linearly in n. ``lift_symmetric``
 and ``block_lift`` take their sectors from this sweep. Every input unitary
 must satisfy ||U^dag U - I||_F <= ``UNITARY_TOL``. These three public
-functions check their raw input on every call. A ``WeightedEnsemble`` is
-checked once, when it is constructed, on its own copy of the arrays, so the
+functions check and lift their raw input on every call, since L_n is a
+homomorphism for every 2x2 matrix. A ``WeightedEnsemble`` is checked once,
+when it is constructed, on its own copy of the arrays, and stores each
+element off unitarity by more than rounding as its polar factor, so the
 sweeps inside ``choi_block``, the encryption channel and ``is_k_design``
-run the same recursion (``_lift_sweep``) on the validated stack directly.
+run the same recursion (``_lift_sweep``) on unitaries exact to rounding.
 The Choi block C_mn = (q A_m)^T conj(A_n) of a sweep (``_choi_block``), its
 Haar value delta_mn I/(n+1) (``_haar_block``) and the distance between them
 (``_haar_deviation``) are written only here, for ``choi_block``, the security
@@ -76,10 +78,10 @@ __all__ = [
 UNITARY_TOL = 1e-10
 
 
-def _check_qubit_unitaries(us: np.ndarray) -> float:
+def _check_qubit_unitaries(us: np.ndarray) -> np.ndarray:
     """Validate a stack of qubit unitaries: ||u^dag u - I||_F <= ``UNITARY_TOL`` for each.
 
-    Returns the largest of those residuals.
+    Returns those residuals, one per element.
     """
     us = np.asarray(us, dtype=np.complex128)
     if us.ndim != 3 or us.shape[1:] != (2, 2):
@@ -87,11 +89,10 @@ def _check_qubit_unitaries(us: np.ndarray) -> float:
     # Entries near the float range overflow to an inf or NaN residual, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.linalg.norm(us.conj().transpose(0, 2, 1) @ us - np.eye(2), axis=(1, 2))
-    worst = float(residual.max(initial=0.0))  # NaN if any residual is NaN
-    if not worst <= UNITARY_TOL:
+    if not residual.max(initial=0.0) <= UNITARY_TOL:  # NaN if any residual is NaN
         bad = np.flatnonzero(~(residual <= UNITARY_TOL))[0]
         raise NotUnitaryError(f"element {bad} is not unitary within tolerance")
-    return worst
+    return residual
 
 
 def tensor_power(u: np.ndarray, k: int) -> np.ndarray:

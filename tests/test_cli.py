@@ -10,6 +10,7 @@ import photonpad
 from photonpad import cli
 from photonpad.channels import as_choi_operator
 from photonpad.cli import MAX_PHOTON_BOUND, _fmt_complex, _fmt_matrix, _render_haar, main, parse_complex
+from photonpad.designs import clifford12_ensemble
 from photonpad.errors import ParseError
 from photonpad.fock import SectorStructure
 from photonpad.su2 import haar_choi
@@ -422,7 +423,7 @@ def test_non_finite_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 1
     assert out == ""
-    assert err == f"error: argument --tol: must be in (0, 0.001], got {tol}\n"
+    assert err == f"error: argument --tol: tol must be a number in (0, 0.001], got {tol}\n"
 
 
 @pytest.mark.parametrize("tol", ["1e300", "0.5"])
@@ -436,7 +437,7 @@ def test_vacuous_tol_rejected(capsys, tmp_path, monkeypatch, argv, tol):
     code, out, err = run(capsys, *argv, "--tol", tol)
     assert code == 1
     assert out == ""
-    assert err == f"error: argument --tol: must be in (0, 0.001], got {float(tol)}\n"
+    assert err == f"error: argument --tol: tol must be a number in (0, 0.001], got {float(tol)}\n"
 
 
 @pytest.mark.parametrize("argv, tol", zip(VERDICT_COMMANDS, [1e-9, 1e-9, 1e-10, 1e-10, 1e-9]))
@@ -465,6 +466,18 @@ def test_largest_tol_accepted(capsys):
     assert code == 3
     assert json.loads(out)["tol"] == 1e-3
 
+
+
+def test_near_unitary_ensemble_file_keeps_the_verdict(capsys, tmp_path):
+    # clifford12 with every entry times (1 + 3.5e-11) is admitted and stored as clifford12 again,
+    # so it is PARITY_SECURE at N = 2 even at tol 1e-12, as clifford12 is
+    data = ensemble_to_json_dict(clifford12_ensemble())
+    for element in data["elements"]:
+        element["unitary"] = [[[re * (1 + 3.5e-11), im * (1 + 3.5e-11)] for re, im in row] for row in element["unitary"]]
+    (tmp_path / "near12.json").write_text(json.dumps(data))
+    for ensemble in ("clifford12", str(tmp_path / "near12.json")):
+        code, out, _ = run(capsys, "analyze", "--ensemble", ensemble, "--max-photons", "2", "--tol", "1e-12")
+        assert (code, json.loads(out)["classification"]) == (3, "PARITY_SECURE")
 
 def assert_fails_closed(capsys, *argv):
     code, out, err = run(capsys, *argv)

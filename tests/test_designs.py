@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonpad.designs import (
+    _UNIT_ROUNDOFF,
     WEIGHT_TOL,
     WeightedEnsemble,
     _frame_potentials,
@@ -25,8 +26,9 @@ from photonpad.designs import (
     pauli_ensemble,
 )
 from photonpad.errors import NotUnitaryError, ParseError, WeightSumError
+from photonpad.fock import MAX_TOL
 from photonpad.linalg import frobenius
-from photonpad.security import security_report
+from photonpad.security import Classification, _classify, security_report
 from photonpad.su2 import UNITARY_TOL, HaarQuadrature, _multiplicity, haar_moment
 
 from conftest import ensemble_to_json_dict, random_unitary
@@ -65,6 +67,19 @@ def test_ensemble_validation():
             WeightedEnsemble([eye, eye], [bad, bad])
     with pytest.raises(NotUnitaryError, match="element 1"):
         WeightedEnsemble([eye, 2 * eye], [0.5, 0.5])
+
+
+def test_ensemble_refuses_arrays_that_are_not_numbers():
+    # numpy would convert each of these to numbers; the JSON reader refuses them too
+    eye = np.eye(2)
+    for weights in (["0.5", "0.5"], [True, True], np.array([0.5, 0.5], dtype=object), [0.5 + 0j, 0.5]):
+        with pytest.raises(WeightSumError, match="^weights must be real numbers, got dtype "):
+            WeightedEnsemble([eye, eye], weights)
+    for unitaries in ([[["1", "0"], ["0", "1"]]], [[[True, False], [False, True]]], np.array([eye], dtype=object)):
+        with pytest.raises(NotUnitaryError, match="^unitary entries must be numbers, got dtype "):
+            WeightedEnsemble(unitaries, [1.0])
+    e = WeightedEnsemble(np.array([[[1, 0], [0, 1]]]), np.array([1]))
+    assert e.unitaries.dtype == np.complex128 and e.weights.dtype == np.float64
 
 
 def test_ensemble_arrays_are_frozen():
@@ -378,23 +393,31 @@ def test_screen_leaves_the_band_to_the_exact_path(lift_sweeps, angle):
 @pytest.mark.parametrize("tol", [1e-9, 1e-3, 1.0, math.sqrt(2), 1.5, 1e300])
 def test_screen_verdict_matches_the_exact_path_at_any_tol(tol):
     # pauli's second-moment deviation is sqrt(2), gap 2: the screen fails it
-    # only for tol^2 + B < 2, and the Python API takes any finite tolerance > 0.
+    # only for tol^2 + B < 2. Every tol the API takes is at most 1e-3, so
+    # tol^2 <= 1e-6, and a tol near sqrt(2) is refused.
     pauli = pauli_ensemble()
-    assert is_k_design(pauli, 2, tol).passed == (_spin_block_deviation(pauli, 2) <= tol)
+    if tol > MAX_TOL:
+        with pytest.raises(ValueError):
+            is_k_design(pauli, 2, tol)
+    else:
+        assert is_k_design(pauli, 2, tol).passed == (_spin_block_deviation(pauli, 2) <= tol)
 
 
 @pytest.mark.parametrize("name, k", [("clifford12", 3), ("pauli", 2)])
 def test_screen_verdict_matches_the_exact_path_next_to_the_deviation(name, k):
     # sqrt(gap) and the spin-block deviation differ in their last bits; a tol
-    # between them is within B of the gap, so the exact path decides it.
+    # between them, next to a deviation of 1 or sqrt(2), is above 1e-3 and so
+    # refused, and no tol the API takes is within B of the gap.
     e = load_ensemble(name)
     exact = _spin_block_deviation(e, k)
     lo, hi = sorted((exact, is_k_design(e, k).moment_deviation))
     assert lo < hi
     ulp = np.spacing(hi)
     for step in range(-4, round((hi - lo) / ulp) + 5):
-        tol = lo + step * ulp
-        assert is_k_design(e, k, tol).passed == (exact <= tol)
+        with pytest.raises(ValueError):
+            is_k_design(e, k, lo + step * ulp)
+    gap, bound = gap_and_bound(e, k)
+    assert MAX_TOL**2 + bound < gap - bound
 
 
 def exact_frame_potential(e, k):
@@ -430,19 +453,79 @@ def perturbed(rng, e, residual, weight_sum=1.0):
     return WeightedEnsemble(us, e.weights * weight_sum)
 
 
+def residuals(us):
+    """||U^dag U - I||_F of each element of a stack."""
+    return np.linalg.norm(us.conj().transpose(0, 2, 1) @ us - np.eye(2), axis=(1, 2))
+
+
 def test_gap_bound_covers_unitarity_and_weight_slack(rng):
     # The gap equals deviation^2 only for unitary elements and weights summing
-    # to one; the validation allows 1e-10 and 1e-12 off, and B must cover both.
+    # to one; the validation allows 1e-10 and 1e-12 off. The ensemble projects
+    # the elements to within 16u, and B must cover that and the weights.
     bases = [pauli_ensemble(), clifford12_ensemble()] + [_random_ensemble(rng, s) for s in (1, 5, 12)]
     for base in bases:
         for residual, weight_sum in ((0.9 * UNITARY_TOL, 1.0), (0.0, 1 + 0.9 * WEIGHT_TOL), (0.0, 1 - 0.9 * WEIGHT_TOL)):
             e = perturbed(rng, base, residual, weight_sum)
-            assert abs(e._unitarity_residual - residual) <= 1e-15
+            assert residuals(e.unitaries).max() <= 16 * _UNIT_ROUNDOFF
             for k in (1, 2, 3, 4, 5):
                 gap, bound = gap_and_bound(e, k)
                 assert abs(gap - _spin_block_deviation(e, k) ** 2) <= bound
 
 
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(angles=st.lists(st.floats(0, 2 * np.pi), min_size=3, max_size=3),
+       hermitian=st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       skew=st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+       size=st.floats(1e-6, 0.999))
+def test_stored_elements_are_unitary_to_rounding(angles, hermitian, skew, size):
+    # Any element the validation admits, U (I + d (H + S)) with H Hermitian of unit norm and S
+    # skew-Hermitian, whose residual is 2d to first order, is stored within 16u of unitary.
+    phi, psi, t = angles
+    u = np.array([[np.exp(1j * phi) * np.cos(t), np.exp(1j * psi) * np.sin(t)],
+                  [-np.exp(-1j * psi) * np.sin(t), np.exp(-1j * phi) * np.cos(t)]])
+    a, b, c, d = hermitian
+    h = np.array([[2 + a, b + 1j * c], [b - 1j * c, d]])  # norm >= 1
+    e, f, g, k = skew
+    s = np.array([[1j * e, f + 1j * g], [-f + 1j * g, 1j * k]])
+    v = u @ (np.eye(2) + size * UNITARY_TOL / 2 * (h / np.linalg.norm(h) + s))
+    assert residuals(v[None])[0] <= UNITARY_TOL
+    stored = WeightedEnsemble([v, u], [0.5, 0.5]).unitaries
+    assert residuals(stored).max() <= 16 * _UNIT_ROUNDOFF
+    assert np.abs(stored[0] - u).max() <= UNITARY_TOL
+    assert np.array_equal(stored[1], u) or residuals(u[None])[0] > 16 * _UNIT_ROUNDOFF
+
+
+def near_unitary_copy(rng, us, residual):
+    """Each element of a stack moved to ``residual``, alternately as U (1 + eps) and as U (I + eps H), H Hermitian.
+
+    U is the polar factor of both.
+    """
+    h = rng.normal(size=us.shape) + 1j * rng.normal(size=us.shape)
+    h = h + h.conj().transpose(0, 2, 1)
+    h *= residual / 2 / np.linalg.norm(h, axis=(1, 2))[:, None, None]  # ||(I + H)^2 - I||_F = 2 ||H||_F to first order
+    out = us + us @ h
+    out[::2] = us[::2] * math.sqrt(1 + residual / math.sqrt(2))  # ||(1 + eps)^2 I - I||_F = residual
+    return out
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_admitted_noise_decides_no_verdict(rng, order):
+    # The nodes of HaarQuadrature(K) are an exact K-design, SECURE at N = K. Unprojected, a copy
+    # off unitarity by 0.9 UNITARY_TOL reads Delta_KK of order K 1e-10, INSECURE at tol = 1e-12.
+    quad = HaarQuadrature(order)
+    us = near_unitary_copy(rng, quad.unitaries, 0.9 * UNITARY_TOL)
+    assert np.allclose(residuals(us), 0.9 * UNITARY_TOL, rtol=1e-3, atol=0)
+    near, exact = WeightedEnsemble(us, quad.weights), WeightedEnsemble(quad.unitaries, quad.weights)
+    got, want = security_report(near, order, 1e-12), security_report(exact, order, 1e-12)
+    assert got.classification is want.classification is Classification.SECURE
+    assert _classify(got.deviations, 1e-9) is _classify(want.deviations, 1e-9)
+    assert np.abs(got.deviations - want.deviations).max() <= 1e-14
+    if order <= 6:  # the s x s frame-potential table holds 2601^2 entries at K = 8
+        for tol in (1e-9, 1e-12):
+            got, want = is_k_design(near, order, tol), is_k_design(exact, order, tol)
+            assert got.passed and want.passed
+            assert abs(got.moment_deviation - want.moment_deviation) <= 1e-14
 
 def test_design_deviation_is_the_multiplicity_weighted_security_table(rng):
     # Schur-Weyl: ||M_k(e) - M_k(Haar)||_F^2 = sum mu_k(m) mu_k(n) Delta_mn^2 over m = n = k (mod 2),

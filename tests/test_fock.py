@@ -7,6 +7,7 @@ import pytest
 
 from photonpad.errors import DimensionError, NormalizationError, ParseError, SectorRangeError
 from photonpad.fock import (
+    MAX_TOL,
     PolarizationSpec,
     SectorStructure,
     SourceSpec,
@@ -124,19 +125,34 @@ def test_read_json_object_names_the_file_in_every_failure(tmp_path, kind, conten
     assert isinstance(info.value.__cause__, FileNotFoundError) == (kind == "missing")
 
 
-@pytest.mark.parametrize("value", [1, 1e-9, 5e-324, 1e300, sys.float_info.max, np.float32(1e-3), np.int64(2)])
+@pytest.mark.parametrize("value", [1e-9, 5e-324, MAX_TOL, np.float32(1e-4)])
 def test_tolerance_accepts_a_finite_positive_real_as_a_float(value):
     tol = _tolerance(value)
     assert type(tol) is float and tol == float(value)
 
 
+# After the values that no tolerance rule ever took, the ones that an unbounded rule took: ints, and
+# floats above MAX_TOL, float32(1e-3) included, since it is 1.0000000474974513e-3 as a float.
 @pytest.mark.parametrize("value", [
     0, 0.0, -1e-9, math.inf, -math.inf, math.nan, np.float64("nan"), np.float32("inf"), 10**400,
     True, np.bool_(True), "1e-9", None, 1e-9 + 0j, np.array([1e-9]),
+    1, 0.5, 1e300, sys.float_info.max, np.float32(1e-3), np.int64(2),
 ])
 def test_tolerance_refuses_everything_else(value):
-    with pytest.raises(ValueError, match="^tol must be a finite number > 0, got "):
+    with pytest.raises(ValueError, match=r"^tol must be a number in \(0, 0.001\], got "):
         _tolerance(value)
+
+
+def test_amplitudes_are_numbers():
+    # The JSON reader refuses strings and bools, and so does the constructor
+    for alpha, beta in (("0.6", "0.8j"), (True, 0), (np.bool_(True), 0), (0.6, b"0.8")):
+        with pytest.raises(NormalizationError, match=r"^\(alpha, beta\) must be numbers, got "):
+            PolarizationSpec(alpha, beta)
+    with pytest.raises(NormalizationError, match="^photon_amplitudes must be numbers, got '0'"):
+        SourceSpec(PolarizationSpec(1.0, 0.0), ["0", "1"])
+    numbers = SourceSpec(PolarizationSpec(np.float32(1), 0), (np.int64(0), np.complex64(1), 0.0))
+    assert numbers.photon_amplitudes == (0j, 1 + 0j, 0j)
+    assert all(type(z) is complex for z in numbers.photon_amplitudes + (numbers.polarization.alpha,))
 
 
 def test_build_source_state_two_photon_amplitudes():

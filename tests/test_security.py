@@ -21,7 +21,7 @@ from photonpad.security import (
     reproduce_appendix_b,
     security_report,
 )
-from photonpad.su2 import block_lift, lift_symmetric, sector_lifts
+from photonpad.su2 import HaarQuadrature, block_lift, lift_symmetric, sector_lifts
 
 from conftest import antisymmetric_identity_check, exact_squared_deviations, random_state, random_unitary
 
@@ -98,17 +98,18 @@ VERDICTS = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9, True, "1e-9"])
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9, True, "1e-9", 0.5, 1.0, 1e300])
 @pytest.mark.parametrize("verdict", VERDICTS)
 def test_verdicts_refuse_a_tolerance_that_decides_nothing(verdict, tol):
-    # An infinite tolerance used to make pauli SECURE at N = 3 and a 3-design.
-    with pytest.raises(ValueError, match="^tol must be a finite number > 0, got "):
+    # An infinite tolerance used to make pauli SECURE at N = 3 and a 3-design, and
+    # 1.0 made it SECURE at N = 1: every tolerance above 1e-3 is refused, as on the command line.
+    with pytest.raises(ValueError, match=r"^tol must be a number in \(0, 0.001\], got "):
         VERDICTS[verdict](tol)
 
 
 @pytest.mark.parametrize("verdict", VERDICTS)
 def test_verdicts_record_the_tolerance_they_decide_with(verdict):
-    for tol in (np.float32(1e-3), np.int64(1)):
+    for tol in (np.float32(1e-4), np.float64(1e-3)):
         result = VERDICTS[verdict](tol)
         assert type(result.tol) is float and result.tol == float(tol)
         if verdict == "security_report":
@@ -192,9 +193,17 @@ def test_worst_block_is_not_decided_by_rounding():
 
 
 def test_report_tolerance_rescales_classification():
-    rep = security_report(pauli_ensemble(), 1, tol=1.0)
+    # The nodes of HaarQuadrature(1) are an exact 1-design, SECURE at N = 1; one node
+    # rotated by 1e-5 moves every block by about 1e-6, between the two tolerances.
+    quad = HaarQuadrature(1)
+    us = quad.unitaries.copy()
+    us[0] = us[0] @ np.array([[np.cos(1e-5), -np.sin(1e-5)], [np.sin(1e-5), np.cos(1e-5)]])
+    e = WeightedEnsemble(us, quad.weights)
+    assert 1e-9 < security_report(e, 1).worst_deviation <= 1e-3
+    assert security_report(e, 1).classification is Classification.INSECURE
+    rep = security_report(e, 1, tol=1e-3)
     assert rep.classification is Classification.SECURE
-    assert rep.tol == 1.0
+    assert rep.tol == 1e-3
 
 
 def test_report_json_schema():
