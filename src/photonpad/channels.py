@@ -36,7 +36,7 @@ import numpy as np
 
 from .designs import WeightedEnsemble
 from .errors import SectorRangeError
-from .fock import SectorStructure, _count, _photon_numbers
+from .fock import SectorStructure, _array, _count, _photon_numbers
 from .su2 import _choi_block, _lift_sweep, check_density
 
 __all__ = [
@@ -91,10 +91,7 @@ def as_choi_operator(matrix: np.ndarray, structure: SectorStructure) -> dict:
     that ``choi_block`` and the ``haar`` command are checked against.
     """
     d = structure.total_dim
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (d * d, d * d):
-        raise SectorRangeError(f"expected shape {(d * d, d * d)}, got {matrix.shape}")
-    j = matrix.reshape(d, d, d, d)
+    j = _array(matrix, (d * d, d * d), "Choi matrix", SectorRangeError).reshape(d, d, d, d)
     sectors = range(structure.max_photons + 1)
     slices = [structure.sector_slice(n) for n in sectors]
     return {

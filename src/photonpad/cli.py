@@ -15,7 +15,7 @@ Exit codes: 0 pass/secure, 2 negative verdict, 3 parity-secure only,
 one line of JSON, written by the C encoder of ``json.dumps`` (pipe it
 through ``python3 -m json.tool`` to indent it), or ``--format text`` for a
 human rendering. Diagnostics go to stderr. Identical invocations produce
-byte-identical output.
+byte-identical output. A reader that closes stdout early gets the exit code, with no traceback.
 
 Options must be spelled in full: ``--alp`` or ``--max`` is an input error.
 Complex number literals on the command line are single tokens of the form
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -376,7 +377,12 @@ def main(argv=None) -> int:
             print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
             return 1
     else:
-        print(rendered)
+        try:
+            print(rendered, flush=True)
+        except BrokenPipeError:  # the reader closed stdout: the rest, and the exit flush, go to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     return code
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitaryError, ParseError, WeightSumError
-from .fock import _count, _json_complex, _json_number, _read_json_object, _tolerance
+from .fock import _array, _count, _json_complex, _json_number, _read_json_object, _tolerance
 from .su2 import _check_qubit_unitaries, _choi_block, _haar_deviation, _lift_sweep, _moment, _multiplicity
 
 __all__ = [
@@ -86,19 +86,11 @@ class WeightedEnsemble:
     name: str = ""
 
     def __post_init__(self):
-        us, ws = np.asarray(self.unitaries), np.asarray(self.weights)
-        if us.dtype.kind not in "iufc":
-            raise NotUnitaryError(f"unitary entries must be numbers, got dtype {us.dtype}")
-        if ws.dtype.kind not in "iuf":
-            raise WeightSumError(f"weights must be real numbers, got dtype {ws.dtype}")
-        # Own copies: the caller's arrays stay writeable, and writing to them
-        # cannot change an ensemble that was validated here.
-        us, ws = us.astype(np.complex128), ws.astype(np.float64)
-        residual = _check_qubit_unitaries(us)
+        # Own copies: the caller's arrays stay writeable, and writing to them cannot change this ensemble.
+        us, residual = _check_qubit_unitaries(self.unitaries)
         if not us.shape[0]:
             raise NotUnitaryError("an ensemble needs at least one element")
-        if ws.shape != (us.shape[0],):
-            raise WeightSumError(f"need {us.shape[0]} weights, got shape {ws.shape}")
+        ws = _array(self.weights, (us.shape[0],), "weights", WeightSumError, np.float64)
         if not ((ws > 0) & (ws < math.inf)).all():  # NaN fails both
             raise WeightSumError("weights must be finite and positive")
         total = float(ws.sum())
@@ -344,11 +336,7 @@ def ensemble_from_json_dict(data: dict) -> WeightedEnsemble:
             raise ParseError(f"malformed ensemble element {i}: {exc}") from exc
     if not unitaries:
         raise ParseError("ensemble has no elements")
-    try:
-        us = np.asarray(unitaries, dtype=np.complex128)
-    except ValueError as exc:
-        raise ParseError(f"ragged unitary entries: {exc}") from exc
-    return WeightedEnsemble(us, np.asarray(weights, dtype=np.float64), name=name)
+    return WeightedEnsemble(unitaries, weights, name=name)
 
 
 def load_ensemble(name_or_path: str | os.PathLike) -> WeightedEnsemble:

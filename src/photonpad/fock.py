@@ -91,6 +91,23 @@ def _unit_amplitudes(values, what: str) -> tuple[complex, ...]:
     return tuple(amps)
 
 
+def _array(value, shape: tuple, what: str, error: type, dtype=np.complex128) -> np.ndarray:
+    """The package's one rule for an array argument: ints or floats (complex too, for a complex ``dtype``).
+
+    Returns a copy as ``dtype`` of ``shape``, where None matches any length; anything else raises ``error``.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise error(f"{what} must be numbers, got a ragged nesting") from None
+    complex_ok = np.dtype(dtype).kind == "c"
+    if array.dtype.kind not in ("iufc" if complex_ok else "iuf"):
+        raise error(f"{what} must be {'' if complex_ok else 'real '}numbers, got dtype {array.dtype}")
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        raise error(f"expected shape {shape}, got {array.shape}")
+    return array.astype(dtype)
+
+
 def _read_json_object(path, what: str) -> dict:
     """The package's one reader of an input file: the JSON object the file at ``path`` holds.
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
+from .fock import _array
 
 __all__ = [
     "frobenius",
@@ -26,8 +27,8 @@ def trace_norm(a: np.ndarray) -> float:
     a^dag a, which would halve the significant digits of singular values
     near zero.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _array(a, (None, None), "matrix", DimensionError)
+    if a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise DimensionError("matrix contains non-finite entries")

@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotDensityOperatorError, NotUnitaryError, QuadratureOrderError
-from .fock import SectorStructure, _count
+from .fock import SectorStructure, _array, _count
 from .linalg import DENSITY_TOL, frobenius
 
 __all__ = [
@@ -78,21 +78,16 @@ __all__ = [
 UNITARY_TOL = 1e-10
 
 
-def _check_qubit_unitaries(us: np.ndarray) -> np.ndarray:
-    """Validate a stack of qubit unitaries: ||u^dag u - I||_F <= ``UNITARY_TOL`` for each.
-
-    Returns those residuals, one per element.
-    """
-    us = np.asarray(us, dtype=np.complex128)
-    if us.ndim != 3 or us.shape[1:] != (2, 2):
-        raise NotUnitaryError(f"expected a stack of 2x2 matrices, got shape {us.shape}")
+def _check_qubit_unitaries(unitaries) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of qubit unitaries as a complex128 copy, and each ||u^dag u - I||_F, checked <= ``UNITARY_TOL``."""
+    us = _array(unitaries, (None, 2, 2), "unitary entries", NotUnitaryError)
     # Entries near the float range overflow to an inf or NaN residual, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.linalg.norm(us.conj().transpose(0, 2, 1) @ us - np.eye(2), axis=(1, 2))
     if not residual.max(initial=0.0) <= UNITARY_TOL:  # NaN if any residual is NaN
         bad = np.flatnonzero(~(residual <= UNITARY_TOL))[0]
         raise NotUnitaryError(f"element {bad} is not unitary within tolerance")
-    return residual
+    return us, residual
 
 
 def tensor_power(u: np.ndarray, k: int) -> np.ndarray:
@@ -110,9 +105,7 @@ def sector_lifts(unitaries: np.ndarray, top: int) -> list[np.ndarray]:
     ``L_n`` of shape (m, n+1, n+1) in the descending-k Fock basis of sector
     n, built by the recursion L_n(U) = W_n^T (L_{n-1}(U) (x) U) W_n.
     """
-    us = np.asarray(unitaries, dtype=np.complex128)
-    _check_qubit_unitaries(us)
-    return _lift_sweep(us, _count(top, "top sector"))
+    return _lift_sweep(_check_qubit_unitaries(unitaries)[0], _count(top, "top sector"))
 
 
 @functools.cache
@@ -174,13 +167,13 @@ def lift_symmetric(u: np.ndarray, n: int) -> np.ndarray:
     returns the 1x1 identity. Satisfies L_n(uw) = L_n(u) L_n(w) and
     L_n(u)^dag = L_n(u^dag). Computed by ``sector_lifts``.
     """
-    return sector_lifts(np.asarray(u, dtype=np.complex128)[None], n)[n][0]
+    return sector_lifts([u], n)[n][0]
 
 
 def block_lift(u: np.ndarray, structure: SectorStructure) -> np.ndarray:
     """Direct sum of sector lifts: L(U) = L_0(U) (+) ... (+) L_N(U) on K(N)."""
     out = np.zeros((structure.total_dim, structure.total_dim), dtype=np.complex128)
-    for n, lifted in enumerate(sector_lifts(np.asarray(u, dtype=np.complex128)[None], structure.max_photons)):
+    for n, lifted in enumerate(sector_lifts([u], structure.max_photons)):
         out[structure.sector_slice(n), structure.sector_slice(n)] = lifted[0]
     return out
 
@@ -272,9 +265,7 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
     Positivity: rho passes if rho + DENSITY_TOL I has a Cholesky factor; only if
     not does ``eigvalsh`` decide, failing a smallest eigenvalue below -DENSITY_TOL.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (dim, dim):
-        raise NotDensityOperatorError(f"expected shape {(dim, dim)}, got {rho.shape}")
+    rho = _array(rho, (dim, dim), "density operator", NotDensityOperatorError)
     if not np.all(np.isfinite(rho.view(np.float64))):
         raise NotDensityOperatorError("density operator contains non-finite entries")
     if frobenius(rho - rho.conj().T) > DENSITY_TOL:

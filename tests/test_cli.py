@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -610,25 +613,44 @@ def test_usage_error_exit_code(capsys):
     assert err.splitlines() == ["error: unrecognized arguments: 'extra\\ntoken'"]
 
 
-def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import photonpad
-
-    # the child imports the same package the tests do, installed or not
+def child_env() -> dict:
+    """The environment of a ``python -m photonpad`` child that imports the same package the tests do."""
     src = str(Path(photonpad.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "photonpad", "reproduce", "appendix-a"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_closed_pipe_exits_cleanly():
+    # The N = 8 payload (about 985 KB) outgrows a pipe buffer, so the child is still writing when the reader closes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "photonpad", "haar", "--max-photons", "8"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_closed_stdout_keeps_the_exit_code(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:  # every write that reaches the pipe raises BrokenPipeError
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["analyze", "--ensemble", "clifford12", "--max-photons", "2"]) == 3
 
 
 def readme_block(heading: str) -> str:

@@ -5,7 +5,17 @@ import sys
 import numpy as np
 import pytest
 
-from photonpad.errors import DimensionError, NormalizationError, ParseError, SectorRangeError
+from photonpad.channels import apply_channel, as_choi_operator, parity_dephase, photon_number_dephase
+from photonpad.designs import WeightedEnsemble, pauli_ensemble
+from photonpad.errors import (
+    DimensionError,
+    NormalizationError,
+    NotDensityOperatorError,
+    NotUnitaryError,
+    ParseError,
+    SectorRangeError,
+    WeightSumError,
+)
 from photonpad.fock import (
     MAX_TOL,
     PolarizationSpec,
@@ -18,6 +28,8 @@ from photonpad.fock import (
     build_source_state,
     symmetric_embedding,
 )
+from photonpad.linalg import trace_norm
+from photonpad.su2 import block_lift, check_density, lift_symmetric, sector_lifts
 
 from conftest import random_state
 
@@ -153,6 +165,44 @@ def test_amplitudes_are_numbers():
     numbers = SourceSpec(PolarizationSpec(np.float32(1), 0), (np.int64(0), np.complex64(1), 0.0))
     assert numbers.photon_amplitudes == (0j, 1 + 0j, 0j)
     assert all(type(z) is complex for z in numbers.photon_amplitudes + (numbers.polarization.alpha,))
+
+
+EYE = np.eye(2)
+VACUUM = np.diag([1.0, 0.0, 0.0])  # |0><0| on K(1)
+ONE_PHOTON = SectorStructure(1)
+
+# Every entry point that takes an array argument through fock._array: (call, a valid value, its error type).
+ARRAY_ENTRY_POINTS = {
+    "WeightedEnsemble unitaries": (lambda a: WeightedEnsemble(a, [1.0]), EYE[None], NotUnitaryError),
+    "WeightedEnsemble weights": (lambda a: WeightedEnsemble([EYE], a), np.ones(1), WeightSumError),
+    "sector_lifts": (lambda a: sector_lifts(a, 2), EYE[None], NotUnitaryError),
+    "lift_symmetric": (lambda a: lift_symmetric(a, 2), EYE, NotUnitaryError),
+    "block_lift": (lambda a: block_lift(a, ONE_PHOTON), EYE, NotUnitaryError),
+    "check_density": (lambda a: check_density(a, 3), VACUUM, NotDensityOperatorError),
+    "apply_channel": (lambda a: apply_channel(pauli_ensemble(), ONE_PHOTON, a), VACUUM, NotDensityOperatorError),
+    "parity_dephase": (lambda a: parity_dephase(a, ONE_PHOTON), VACUUM, NotDensityOperatorError),
+    "photon_number_dephase": (lambda a: photon_number_dephase(a, ONE_PHOTON), VACUUM, NotDensityOperatorError),
+    "trace_norm": (trace_norm, EYE, DimensionError),
+    "as_choi_operator": (lambda a: as_choi_operator(a, ONE_PHOTON), np.eye(9), SectorRangeError),
+}
+MALFORMED_ARRAYS = {
+    "string": lambda v: v.astype(str),
+    "bool": lambda v: v.astype(bool),
+    "object": lambda v: v.astype(object),
+    "ragged": lambda v: [v.tolist(), v.tolist()[:-1]],
+    "extra axis": lambda v: v[None],
+    "short last axis": lambda v: v[..., :-1],
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED_ARRAYS)
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_array_arguments_fail_closed_with_their_own_error(entry, malform):
+    # numpy would read "1.0" and True as 1, and an object array of floats as numbers
+    call, valid, error = ARRAY_ENTRY_POINTS[entry]
+    call(valid)
+    with pytest.raises(error):
+        call(MALFORMED_ARRAYS[malform](valid))
 
 
 def test_build_source_state_two_photon_amplitudes():
