@@ -26,8 +26,7 @@ by sector from one ``sector_lifts`` sweep in 2(N+1) GEMMs; no verdict calls it.
 The two dephasers mask by the group labels n mod P of ``_group_labels`` (P = 2
 for parity, N + 1 for photon number), and ``leakage``, which accepts only them
 or no pre-channel (P = 1), splits its trace norm over the same groups without a
-lift (``security``). A custom pre-channel composes with the public functions:
-0.5 * trace_norm(apply_channel(e, s, pre(rho_a)) - apply_channel(e, s, pre(rho_b))).
+lift (``security``).
 """
 
 from __future__ import annotations

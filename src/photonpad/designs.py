@@ -51,7 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitaryError, ParseError, WeightSumError
-from .fock import _array, _count, _json_complex, _json_number, _read_json_object, _tolerance
+from .fock import (_PROJECT_ABOVE, _UNIT_ROUNDOFF, _array, _count, _json_complex, _json_number, _read_json_object,
+                   _tolerance)
 from .su2 import _check_qubit_unitaries, _choi_block, _haar_deviation, _lift_sweep, _moment, _multiplicity
 
 __all__ = [
@@ -69,8 +70,6 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-12
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_PROJECT_ABOVE = 16 * _UNIT_ROUNDOFF  # an element with ||U^dag U - I||_F above it is stored as its polar factor
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -79,7 +78,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 @dataclass(frozen=True, eq=False)
 class WeightedEnsemble:
-    """A finite ensemble of 2x2 unitaries with a probability weight each, stored unitary to within 16u."""
+    """A finite ensemble of 2x2 unitaries with a probability weight each, stored exact to within 16u."""
 
     unitaries: np.ndarray
     weights: np.ndarray
@@ -93,9 +92,11 @@ class WeightedEnsemble:
         ws = _array(self.weights, (us.shape[0],), "weights", WeightSumError, np.float64)
         if not ((ws > 0) & (ws < math.inf)).all():  # NaN fails both
             raise WeightSumError("weights must be finite and positive")
-        total = float(ws.sum())
+        total = math.fsum(ws.tolist())
         if abs(total - 1.0) > WEIGHT_TOL:
             raise WeightSumError(f"weights sum to {total!r}, not 1 within {WEIGHT_TOL}")
+        if abs(total - 1.0) > _PROJECT_ABOVE:  # the admitted slack decides no verdict
+            ws /= total
         far = residual > _PROJECT_ABOVE
         if far.any():
             # The polar factor, by one Newton step X <- (X + X^-dag)/2 with X^-dag =
@@ -259,12 +260,10 @@ def _gap_bound(ensemble: WeightedEnsemble, k: int, lower: float, potential: floa
       stored element is unitary within 16u (``WeightedEnsemble``), so
       |det U_j| is within 16u / sqrt(2) of 1, which moves F_k by at most
       16 sqrt(2) k u F_k; the Haar cross term moves only at second order.
-    * weights: the cross term assumes sum q = 1 and is off by 2 |sum q - 1| C_k.
+    * weights: the cross term is off by 2 |sum q - 1| C_k <= 34u C_k, as stored weights sum to 1 within 17u.
     """
     u = _UNIT_ROUNDOFF
-    rounding = u * (46 * k * math.sqrt(potential * lower) + (26 * k + 2 * ensemble.size + 4) * potential)
-    total = math.fsum(ensemble.weights.tolist())
-    return rounding + 2 * (abs(total - 1) + u) * haar
+    return u * (46 * k * math.sqrt(potential * lower) + (26 * k + 2 * ensemble.size + 4) * potential + 34 * haar)
 
 
 def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> DesignCheck:

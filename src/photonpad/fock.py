@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
+_UNIT_ROUNDOFF = 2.0**-53  # u of a float64; a Python float, as a numpy scalar makes every comparison slow
+_PROJECT_ABOVE = 16 * _UNIT_ROUNDOFF  # an input off its constraint by more than this is stored projected
 MAX_TOL = 1e-3  # a larger tol would pass order-one deviations, such as pauli's sqrt(2) on the (2,2) block
 
 
@@ -69,13 +71,11 @@ def _tolerance(value) -> float:
     raise ValueError(f"tol must be a number in (0, {MAX_TOL:g}], got {value!r}")
 
 
-def _unit_amplitudes(values, what: str) -> tuple[complex, ...]:
-    """The package's one rule for an amplitude vector: numbers, never a bool or a string, with sum |z|^2 = 1.
+def _numbers(values, what: str) -> tuple[list[complex], float]:
+    """The package's one rule for numbers: ints, floats, complex or numpy numbers, never a bool or a string.
 
-    A number is an int, float, complex or numpy number. The sum must be 1 within ``NORM_TOL``, so an empty
-    or non-finite vector fails too. It is a sum of products, which reach inf past the float range where
-    ``abs`` or ``**`` would raise OverflowError. Returns the amplitudes as a tuple of complex; anything else
-    raises NormalizationError.
+    Returns them as complex, and sum |z|^2 in products, which reach inf where ``abs`` or ``**`` would raise
+    OverflowError; anything else raises NormalizationError.
     """
     amps, norm = [], 0.0
     for value in values:
@@ -84,11 +84,24 @@ def _unit_amplitudes(values, what: str) -> tuple[complex, ...]:
         z = complex(value)
         amps.append(z)
         norm += z.real * z.real + z.imag * z.imag
+    return amps, norm
+
+
+def _unit_amplitudes(values, what: str) -> tuple[complex, ...]:
+    """The package's one rule for an amplitude vector: ``_numbers`` with sum |z|^2 = 1, stored exact to 16u.
+
+    The sum must be 1 within ``NORM_TOL``, or NormalizationError, so an empty or non-finite vector fails too;
+    a sum off by more than 16u is divided out, so no admitted slack compounds with N.
+    """
+    amps, norm = _numbers(values, what)
+    if abs(norm - 1.0) <= _PROJECT_ABOVE:
+        return tuple(amps)
     if not abs(norm - 1.0) <= NORM_TOL:
         bad = [z for z in amps if not cmath.isfinite(z)]
         raise NormalizationError(f"{what} must be finite, got {bad[0]!r}" if bad else
                                  f"sum |z|^2 over {what} = {norm!r} is not 1 within {NORM_TOL}")
-    return tuple(amps)
+    scale = 1.0 / math.sqrt(norm)
+    return tuple(z * scale for z in amps)
 
 
 def _array(value, shape: tuple, what: str, error: type, dtype=np.complex128) -> np.ndarray:

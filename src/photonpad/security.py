@@ -21,10 +21,7 @@ two encrypted sources, i.e. the best distinguishing probability bias an
 eavesdropper can achieve. A source's photons share one polarization, so a
 rotation encrypts it by rotating that polarization (``_encrypted_rows``), and
 the trace norm splits over the groups of sectors a dephaser keeps apart
-(``channels._group_labels``). It accepts no pre-channel or one of the two
-dephasers; a custom pre-channel composes with the public functions as 0.5 *
-trace_norm(apply_channel(e, s, pre(rho_a)) - apply_channel(e, s, pre(rho_b))).
-The blocks and their Haar deviations come from ``su2``.
+(``channels._group_labels``). Blocks and Haar deviations come from ``su2``.
 
 The module also packages two fixed reference computations used as
 end-to-end checks (and exposed by the command line as ``reproduce
@@ -48,9 +45,10 @@ import numpy as np
 from .channels import _dephasing_period, _group_labels, choi_block
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
-from .fock import NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _json_pairs, _source_rows, _tolerance
+from .fock import (NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _count, _json_pairs, _numbers,
+                   _source_rows, _tolerance)
 from .linalg import frobenius
-from .su2 import _check_pure_density, _haar_deviation
+from .su2 import _haar_deviation
 
 __all__ = [
     "Classification",
@@ -89,7 +87,7 @@ class SecurityReport:
     classification: Classification
 
     def deviation(self, m: int, n: int) -> float:
-        return float(self.deviations[m, n])
+        return float(self.deviations[tuple(_count(i, "sector", hi=self.max_photons) for i in (m, n))])
 
     @property
     def worst_block(self) -> tuple[int, int]:
@@ -169,8 +167,7 @@ def leakage(
     matrix per group, of rank at most 2s. No D x D matrix is formed: groups of
     at most ``_STACKED_WIDTH`` states share one batched eigensolve, and a group
     much wider than 2s is cut by a QR to a 2s x 2s core with the same nonzero
-    eigenvalues (``_signed_group_norm``). Each plaintext vector is checked
-    once, as ``su2._check_pure_density`` states.
+    eigenvalues (``_signed_group_norm``).
     """
     structure = SectorStructure(max_photons)
     period = _dephasing_period(pre_channel, structure)
@@ -180,11 +177,14 @@ def leakage(
 
 
 def _encrypted_rows(ensemble: WeightedEnsemble, source: SourceSpec, structure: SectorStructure) -> np.ndarray:
-    """The (s, D) rows w_j = L(U_j) v, the source re-emitted with polarization U_j p, after checking v."""
+    """The (s, D) rows w_j = L(U_j) v, the source re-emitted with polarization U_j p.
+
+    The plaintext v v^dag needs no density check: it and its pinchings are Hermitian and positive, and with c
+    and p stored exact to 16u (``SourceSpec``), ||v||^2 = sum_n |c_n|^2 (|alpha|^2 + |beta|^2)^n is 1 within
+    about (N + 2) 16u, and each entry is a finite product of c_n, alpha, beta and sqrt(C(n, k)).
+    """
     p = np.array([source.polarization.alpha, source.polarization.beta])
-    stacked = _source_rows(source, np.concatenate([p[None], ensemble.unitaries @ p]), structure)
-    _check_pure_density(stacked[0])
-    return stacked[1:]
+    return _source_rows(source, ensemble.unitaries @ p, structure)
 
 
 # Up to this group width numpy's per-call cost outweighs the eigensolve, so
@@ -341,8 +341,8 @@ def reproduce_appendix_b(
     independent of the polarization: within the fixed parity the scheme
     erases everything except the photon-number distribution.
     """
-    c, tol = complex(c), _tolerance(tol)
-    if c.real * c.real + c.imag * c.imag - 1.0 > NORM_TOL:  # SourceSpec's sum, so its check cannot fail below
+    ((c,), square), tol = _numbers((c,), "c"), _tolerance(tol)
+    if square - 1.0 > NORM_TOL:  # SourceSpec's sum, so its check cannot fail below
         raise NormalizationError(f"|c| = {math.hypot(c.real, c.imag)!r} exceeds 1")  # abs(c) may overflow
     polarization = PolarizationSpec(alpha, beta)
     weight = min(abs(c) ** 2, 1.0)

@@ -260,11 +260,7 @@ def haar_moment(k: int) -> np.ndarray:
 
 
 def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
-    """Validate a density operator of the given dimension (at ``DENSITY_TOL``) and return it.
-
-    Positivity: rho passes if rho + DENSITY_TOL I has a Cholesky factor; only if
-    not does ``eigvalsh`` decide, failing a smallest eigenvalue below -DENSITY_TOL.
-    """
+    """Validate a density operator of the given dimension (at ``DENSITY_TOL``) and return it."""
     rho = _array(rho, (dim, dim), "density operator", NotDensityOperatorError)
     if not np.all(np.isfinite(rho.view(np.float64))):
         raise NotDensityOperatorError("density operator contains non-finite entries")
@@ -272,27 +268,10 @@ def check_density(rho: np.ndarray, dim: int) -> np.ndarray:
         raise NotDensityOperatorError("density operator is not Hermitian within tolerance")
     if abs(np.trace(rho) - 1.0) > DENSITY_TOL:
         raise NotDensityOperatorError(f"trace {np.trace(rho)!r} is not 1 within tolerance")
-    try:
-        np.linalg.cholesky(rho + DENSITY_TOL * np.eye(dim))
-    except np.linalg.LinAlgError:
-        w = np.linalg.eigvalsh(rho)
-        if w.min() < -DENSITY_TOL:
-            raise NotDensityOperatorError(f"negative eigenvalue {w.min():.3e}") from None
+    smallest = np.linalg.eigvalsh(rho).min()
+    if smallest < -DENSITY_TOL:
+        raise NotDensityOperatorError(f"negative eigenvalue {smallest:.3e}")
     return rho
-
-
-def _check_pure_density(vec: np.ndarray) -> None:
-    """Validate a state vector v as ``check_density`` validates v v^dag.
-
-    v v^dag, and every pinching of it onto groups of photon-number sectors,
-    is Hermitian and positive semidefinite with trace ||v||^2, so only
-    finiteness and the trace are left to check.
-    """
-    if not np.all(np.isfinite(vec)):
-        raise NotDensityOperatorError("density operator contains non-finite entries")
-    trace = np.vdot(vec, vec).real
-    if abs(trace - 1.0) > DENSITY_TOL:
-        raise NotDensityOperatorError(f"trace {trace!r} is not 1 within tolerance")
 
 
 def haar_choi(structure: SectorStructure) -> np.ndarray:

@@ -11,11 +11,12 @@ import pytest
 
 import photonpad
 from photonpad import cli
-from photonpad.channels import as_choi_operator
+from photonpad.channels import as_choi_operator, parity_dephase, photon_number_dephase
 from photonpad.cli import MAX_PHOTON_BOUND, _fmt_complex, _fmt_matrix, _render_haar, main, parse_complex
-from photonpad.designs import clifford12_ensemble
+from photonpad.designs import clifford12_ensemble, is_k_design, pauli_ensemble
 from photonpad.errors import ParseError
-from photonpad.fock import SectorStructure
+from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec
+from photonpad.security import leakage, reproduce_appendix_a, reproduce_appendix_b, security_report
 from photonpad.su2 import haar_choi
 
 from conftest import ensemble_to_json_dict
@@ -481,6 +482,67 @@ def test_near_unitary_ensemble_file_keeps_the_verdict(capsys, tmp_path):
     for ensemble in ("clifford12", str(tmp_path / "near12.json")):
         code, out, _ = run(capsys, "analyze", "--ensemble", ensemble, "--max-photons", "2", "--tol", "1e-12")
         assert (code, json.loads(out)["classification"]) == (3, "PARITY_SECURE")
+
+
+def test_weight_scaled_ensemble_file_keeps_the_verdicts(capsys, tmp_path):
+    # clifford12 with every weight times (1 + 9e-13) is admitted and stored with its weights divided by their
+    # sum, so at tol 1e-13 it is PARITY_SECURE at N = 2 and a 2-design, as clifford12 is
+    data = ensemble_to_json_dict(clifford12_ensemble())
+    for element in data["elements"]:
+        element["weight"] *= 1 + 9e-13
+    path = tmp_path / "heavy12.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "analyze", "--ensemble", str(path), "--max-photons", "2", "--tol", "1e-13")
+    assert (code, json.loads(out)["classification"]) == (3, "PARITY_SECURE")
+    code, out, _ = run(capsys, "design-check", "--ensemble", str(path), "--k", "2", "--tol", "1e-13")
+    assert (code, json.loads(out)["is_design"]) == (0, True)
+
+
+# The dense reference constructions, which only tests and the mixed-state channel use.
+REFERENCE_LAYER = {
+    "apply_channel": photonpad.channels, "block_lift": photonpad.su2, "check_density": photonpad.su2,
+    "build_source_state": photonpad.fock, "symmetric_embedding": photonpad.fock, "tensor_power": photonpad.su2,
+    "haar_moment": photonpad.su2, "ensemble_moment": photonpad.designs, "haar_choi": photonpad.su2,
+    "as_choi_operator": photonpad.channels, "trace_norm": photonpad.linalg,
+}
+
+
+def test_no_verdict_reaches_the_reference_layer(capsys, tmp_path, monkeypatch):
+    # Every binding of a reference function in the package raises, as the lift_sweeps fixture binds its counter
+    for name, home in REFERENCE_LAYER.items():
+        original = getattr(home, name)
+
+        def refused(*args, name=name, **kwargs):
+            raise AssertionError(f"a verdict called {name}")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("photonpad") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refused)
+    with pytest.raises(AssertionError, match="^a verdict called trace_norm$"):
+        photonpad.linalg.trace_norm(np.eye(2))
+    for ensemble, top in ((pauli_ensemble(), 3), (clifford12_ensemble(), 3), (rotated_clifford12(), 2)):
+        security_report(ensemble, top)
+    assert [is_k_design(clifford12_ensemble(), k).passed for k in (1, 2, 3, 4)] == [True, True, False, False]
+    assert not is_k_design(rotated_clifford12(), 2).passed  # on the spin blocks, not the gap
+    a = SourceSpec(PolarizationSpec(1.0, 0.0), (0.0, 0.6, 0.8))
+    b = SourceSpec(PolarizationSpec(0.0, 1.0), (0.0, 0.6, 0.8))
+    for pre in (None, parity_dephase, photon_number_dephase):
+        leakage(clifford12_ensemble(), a, b, 3, pre_channel=pre)
+    assert reproduce_appendix_a().passed and reproduce_appendix_b(0.6, 0.8, 0.6).passed
+    a_path = write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 0.6, 0.8))
+    b_path = write_source(tmp_path, "b.json", 0.0, 1.0, (0.0, 0.6, 0.8))
+    leak = ["leakage", "--ensemble", "clifford12", "--max-photons", "2", a_path, b_path]
+    for argv, expected in [
+        (["design-check", "--ensemble", "clifford12", "--k", "4"], 2),
+        (["design-check", "--ensemble", "clifford12", "--k", "2"], 0),
+        (["analyze", "--ensemble", "clifford12", "--max-photons", "3"], 2),
+        (["reproduce", "appendix-a"], 0),
+        (["reproduce", "appendix-b", "--c", "0.6", "--alpha", "0.8", "--beta", "0.6"], 0),
+        (leak, 2), (leak + ["--dephase", "parity"], 0), (leak + ["--dephase", "photon-number"], 0),
+        (["haar", "--max-photons", "2"], 0),
+        (["lift", "--n", "3", "--unitary", "0.6,0.8i,0.8i,0.6"], 0),
+    ]:
+        assert run(capsys, *argv)[::2] == (expected, ""), argv
 
 def assert_fails_closed(capsys, *argv):
     code, out, err = run(capsys, *argv)

@@ -37,7 +37,7 @@ from conftest import ensemble_to_json_dict, random_unitary
 def test_pauli_ensemble_basics():
     e = pauli_ensemble()
     assert e.size == 4
-    assert np.allclose(e.weights, 0.25)
+    assert np.array_equal(e.weights, np.full(4, 0.25))  # already within 16u of summing to 1: stored as given
     assert np.allclose(e.unitaries[0], np.eye(2))
 
 
@@ -45,7 +45,7 @@ def test_clifford12_golden_elements():
     # golden file: the element order and phases are part of the contract
     e = clifford12_ensemble()
     assert e.size == 12
-    assert np.allclose(e.weights, 1 / 12)
+    assert np.array_equal(e.weights, np.full(12, 1 / 12))
     assert np.allclose(e.unitaries[0], np.eye(2))
     assert np.allclose(e.unitaries[1], 1j * np.array([[0, 1], [1, 0]]))
     assert np.allclose(e.unitaries[2], 1j * np.array([[0, -1j], [1j, 0]]))
@@ -378,6 +378,7 @@ def test_clear_failures_are_decided_without_a_lift_sweep(lift_sweeps):
 def test_screen_leaves_the_band_to_the_exact_path(lift_sweeps, angle):
     # Only a gap far above tol^2 + B with B <= 1e-12 gap is decided from the
     # gap; small rotations (3e-6: deviation 2e-6, gap 4e-12) take the spin blocks.
+    # At 0.3 the gap is 0.037 and B = 1.08e-12 gap, with the weight term 34u C_k.
     e = rotated_clifford12(angle)
     exact = _spin_block_deviation(e, 2)
     lift_sweeps.clear()
@@ -385,7 +386,7 @@ def test_screen_leaves_the_band_to_the_exact_path(lift_sweeps, angle):
     gap, bound = gap_and_bound(e, 2)
     screened = gap > 1e-9**2 + bound and bound <= 1e-12 * gap
     assert lift_sweeps == ([] if screened else [2])
-    assert screened == (angle >= 0.3)
+    assert screened == (angle >= 1.0)
     assert check.passed == (exact <= 1e-9)
     assert abs(check.moment_deviation - exact) <= 1e-12 * exact
 
@@ -494,6 +495,19 @@ def test_stored_elements_are_unitary_to_rounding(angles, hermitian, skew, size):
     assert residuals(stored).max() <= 16 * _UNIT_ROUNDOFF
     assert np.abs(stored[0] - u).max() <= UNITARY_TOL
     assert np.array_equal(stored[1], u) or residuals(u[None])[0] > 16 * _UNIT_ROUNDOFF
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw=st.lists(st.floats(0.01, 1), min_size=1, max_size=24),
+       slack=st.sampled_from([-0.9 * WEIGHT_TOL, 0.0, 0.9 * WEIGHT_TOL]) | st.floats(-0.9 * WEIGHT_TOL, 0.9 * WEIGHT_TOL))
+def test_stored_weights_sum_to_one_across_the_admitted_band(raw, slack):
+    # Weights off by more than 16u are divided by their sum; weights within 16u are stored as given.
+    w = np.array(raw) / math.fsum(raw) * (1 + slack)
+    stored = WeightedEnsemble(np.tile(np.eye(2), (w.size, 1, 1)), w).weights
+    assert abs(math.fsum(stored.tolist()) - 1) <= 16 * _UNIT_ROUNDOFF
+    assert np.abs(stored - w).max() <= 1e-12 * w.max()
+    if abs(math.fsum(w.tolist()) - 1) <= 16 * _UNIT_ROUNDOFF:
+        assert np.array_equal(stored, w)
 
 
 def near_unitary_copy(rng, us, residual):

@@ -1,9 +1,12 @@
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photonpad.channels import apply_channel, as_choi_operator, parity_dephase, photon_number_dephase
 from photonpad.designs import WeightedEnsemble, pauli_ensemble
@@ -165,6 +168,69 @@ def test_amplitudes_are_numbers():
     numbers = SourceSpec(PolarizationSpec(np.float32(1), 0), (np.int64(0), np.complex64(1), 0.0))
     assert numbers.photon_amplitudes == (0j, 1 + 0j, 0j)
     assert all(type(z) is complex for z in numbers.photon_amplitudes + (numbers.polarization.alpha,))
+
+
+U = np.finfo(np.float64).eps / 2
+EDGES = st.sampled_from([-0.9e-12, 0.9e-12])  # the slack NORM_TOL admits, near both of its ends
+
+
+def summed(amps):
+    """sum |z|^2 in the order and rounding of ``fock._unit_amplitudes``."""
+    total = 0.0
+    for z in amps:
+        total += z.real * z.real + z.imag * z.imag
+    return total
+
+
+def off_by(slack, parts):
+    """A vector in the direction of ``parts`` whose sum |z|^2 is about 1 + slack."""
+    v = np.array([complex(re, im) for re, im in parts])
+    return tuple(v * (math.sqrt(1 + slack) / np.linalg.norm(v)))
+
+
+AMPLITUDES = st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=151).filter(
+    lambda parts: sum(re * re + im * im for re, im in parts) > 1e-3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(parts=AMPLITUDES, slack=EDGES | st.just(0.0) | st.floats(-0.9e-12, 0.9e-12))
+def test_amplitudes_are_stored_exact_across_the_admitted_band(parts, slack):
+    # A vector off by more than 16u is scaled to sum to 1 within 16u; one within 16u is stored as given.
+    given_amps = off_by(slack, parts)
+    stored = SourceSpec(PolarizationSpec(1.0, 0.0), given_amps).photon_amplitudes
+    assert abs(summed(stored) - 1) <= 16 * U
+    exact = sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in stored)
+    assert abs(exact - 1) <= (16 + 2 * len(stored)) * U  # the exact sum: 16u and the rounding of the computed one
+    assert max(abs(a - b) for a, b in zip(stored, given_amps)) <= 1e-12
+    if abs(summed(given_amps) - 1) <= 16 * U:
+        assert stored == given_amps
+
+
+def test_amplitudes_already_exact_are_stored_bit_for_bit():
+    # The README's sources and polarizations, and those of the command-line examples
+    pairs = ((1.0, 0.0), (0.0, 1.0), (0.8, 0.6), (0.6, 0.8), (0.6, 0.8j), (0.6j, 0.8))
+    for values in pairs + ((0.0, 0.6, 0.8), (0.6, 0.0, 0.8)):
+        assert SourceSpec(PolarizationSpec(1.0, 0.0), values).photon_amplitudes == values
+    for alpha, beta in pairs:
+        pol = PolarizationSpec(alpha, beta)
+        assert (pol.alpha, pol.beta) == (alpha, beta)
+    pol = PolarizationSpec(math.sqrt(1 + 9e-13), 0.0)
+    assert abs(summed((pol.alpha, pol.beta)) - 1) <= 16 * U
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(angles=st.tuples(st.floats(0, math.pi / 2), st.floats(0, 2 * math.pi)), parts=AMPLITUDES,
+       slacks=st.tuples(EDGES, EDGES))
+@example(angles=(0.0, 0.0), parts=[(0.0, 0.0)] * 150 + [(1.0, 0.0)], slacks=(0.9e-12, 0.9e-12))
+def test_plaintext_row_is_a_unit_vector_at_the_edges_of_the_norm_tolerance(angles, parts, slacks):
+    # The condition leakage relies on in place of a density check (security._encrypted_rows): with (alpha, beta)
+    # and c stored exact, ||v||^2 = sum_n |c_n|^2 (|alpha|^2 + |beta|^2)^n does not compound the slack with n.
+    t, phase = angles
+    pol = PolarizationSpec(*off_by(slacks[0], [(math.cos(t), 0.0), (math.sin(t) * math.cos(phase),
+                                                                     math.sin(t) * math.sin(phase))]))
+    src = SourceSpec(pol, off_by(slacks[1], parts))
+    v = build_source_state(src, SectorStructure(src.max_photons))
+    assert abs(np.vdot(v, v).real - 1) <= 1e-12
 
 
 EYE = np.eye(2)

@@ -9,7 +9,7 @@ import pytest
 from photonpad import su2
 from photonpad.channels import apply_channel, choi_block, parity_dephase, photon_number_dephase
 from photonpad.designs import WeightedEnsemble, clifford12_ensemble, is_k_design, pauli_ensemble
-from photonpad.errors import DimensionError, NormalizationError, NotDensityOperatorError, NotUnitaryError
+from photonpad.errors import DimensionError, NormalizationError, NotUnitaryError, SectorRangeError
 from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, _source_rows, build_source_state
 from photonpad.security import (
     _APPENDIX_A,
@@ -192,6 +192,18 @@ def test_worst_block_is_not_decided_by_rounding():
     assert rep.deviation(7, 8) == rep.deviation(8, 7) == rep.worst_deviation
 
 
+def test_admitted_weight_slack_decides_no_verdict():
+    # Weights times (1 + 9e-13) are admitted and stored divided by their sum; kept as given, they would
+    # make Delta_00 = 9e-13 (INSECURE at tol 1e-13) and the k = 2 deviation 1.3e-12.
+    exact = clifford12_ensemble()
+    e = WeightedEnsemble(exact.unitaries, exact.weights * (1 + 9e-13), name="clifford12")
+    report = security_report(e, 2, tol=1e-13)
+    assert report.classification is Classification.PARITY_SECURE
+    assert report.deviation(0, 0) <= 1e-15
+    assert np.abs(report.deviations - security_report(exact, 2).deviations).max() <= 1e-15
+    assert is_k_design(e, 2, tol=1e-13).passed
+
+
 def test_report_tolerance_rescales_classification():
     # The nodes of HaarQuadrature(1) are an exact 1-design, SECURE at N = 1; one node
     # rotated by 1e-5 moves every block by about 1e-6, between the two tolerances.
@@ -204,6 +216,16 @@ def test_report_tolerance_rescales_classification():
     rep = security_report(e, 1, tol=1e-3)
     assert rep.classification is Classification.SECURE
     assert rep.tol == 1e-3
+
+
+@pytest.mark.parametrize("m, n", [(-1, 0), (True, 0), (3, 0), (0, 3), (1.0, 0), (0, "1")])
+def test_report_deviation_takes_only_its_sectors(m, n):
+    # a negative index, a bool or a float would read some other block, and one past max_photons none
+    report = security_report(pauli_ensemble(), 2)
+    with pytest.raises(SectorRangeError, match=r"^sector must be an int in \[0, 2\], got "):
+        report.deviation(m, n)
+    assert report.deviation(np.int64(2), 0) == report.deviations[2, 0]
+    assert abs(report.deviation(2, 0) - math.sqrt(3) / 2) <= 1e-15
 
 
 def test_report_json_schema():
@@ -417,13 +439,14 @@ def test_leakage_takes_only_the_package_dephasers(lift_sweeps, rng):
     assert lift_sweeps == []
 
 
-def test_leakage_checks_the_plaintext_vector_past_its_norm_tolerance():
-    # |alpha|^2 = 1 + 9.9e-13 passes the polarization check, but ||v||^2 - 1 is about 1.5e-10 at n = 150
+def test_leakage_accepts_the_plaintext_vector_past_its_norm_tolerance():
+    # |alpha|^2 = 1 + 9.9e-13 passes the polarization check, which stores it exact: unscaled, ||v||^2 - 1
+    # would be about 1.5e-10 at n = 150, and the leakage would not be that of the exact source
     amps = (0.0,) * 150 + (1.0,)
-    a = source(np.sqrt(1 + 9.9e-13), 0, amps)
     b = source(0, 1, amps)
-    with pytest.raises(NotDensityOperatorError, match="^trace"):
-        leakage(pauli_ensemble(), a, b, 150, pre_channel=photon_number_dephase)
+    near, exact = (leakage(pauli_ensemble(), source(alpha, 0, amps), b, 150, pre_channel=photon_number_dephase)
+                   for alpha in (np.sqrt(1 + 9.9e-13), 1.0))
+    assert abs(near - exact) <= 1e-14
 
 
 @pytest.mark.parametrize("size", [1, 5, 24])
@@ -558,6 +581,10 @@ def test_reproduce_appendix_b_validation():
     with pytest.raises(NormalizationError, match=r"^\|c\| = 1\.0000000000009 exceeds 1$"):
         reproduce_appendix_b(1 + 9e-13, 1.0, 0.0)
     assert reproduce_appendix_b(1 + 4e-13, 1.0, 0.0).passed
+    # c takes the amplitudes' number rule, so "0.6" and True are not read as 0.6 and 1
+    for c in ("0.6", True, None, [0.6]):
+        with pytest.raises(NormalizationError, match="^c must be numbers, got "):
+            reproduce_appendix_b(c, 0.8, 0.6)
 
 
 def test_reproduce_appendix_b_matches_the_reference_channel(lift_sweeps, rng):
