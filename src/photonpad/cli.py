@@ -45,7 +45,7 @@ from .security import (
     reproduce_appendix_b,
     security_report,
 )
-from .su2 import _haar_block, lift_symmetric
+from .su2 import _haar_rows, lift_symmetric
 
 __all__ = ["main", "parse_complex"]
 
@@ -325,7 +325,7 @@ def _render_leakage(payload: dict) -> str:
 def _cmd_haar(args) -> tuple[dict, int]:
     """The Haar channel's Choi blocks in closed form: C_mn = delta_mn I / (n+1)."""
     sectors = range(args.max_photons + 1)
-    blocks = [{"m": m, "n": n, "matrix": _json_pairs(_haar_block(m, n))} for m in sectors for n in sectors]
+    blocks = [{"m": m, "n": n, "matrix": _haar_rows(m, n)} for m in sectors for n in sectors]
     return {"max_photons": args.max_photons, "blocks": blocks}, 0
 
 

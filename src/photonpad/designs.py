@@ -262,8 +262,8 @@ def _gap_bound(ensemble: WeightedEnsemble, k: int, lower: float, potential: floa
       16 sqrt(2) k u F_k; the Haar cross term moves only at second order.
     * weights: the cross term is off by 2 |sum q - 1| C_k <= 34u C_k, as stored weights sum to 1 within 17u.
     """
-    u = _UNIT_ROUNDOFF
-    return u * (46 * k * math.sqrt(potential * lower) + (26 * k + 2 * ensemble.size + 4) * potential + 34 * haar)
+    u, root = _UNIT_ROUNDOFF, math.sqrt(potential) * math.sqrt(lower)  # F_k F_{k-1} overflows from k = 300
+    return u * (46 * k * root + (26 * k + 2 * ensemble.size + 4) * potential + 34 * haar)
 
 
 def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> DesignCheck:

@@ -25,9 +25,9 @@ element off unitarity by more than rounding as its polar factor, so the
 sweeps inside ``choi_block``, the encryption channel and ``is_k_design``
 run the same recursion (``_lift_sweep``) on unitaries exact to rounding.
 The Choi block C_mn = (q A_m)^T conj(A_n) of a sweep (``_choi_block``), its
-Haar value delta_mn I/(n+1) (``_haar_block``) and the distance between them
-(``_haar_deviation``) are written only here, for ``choi_block``, the security
-report, the design check and the ``haar`` command.
+distance from the Haar value delta_mn I/(n+1) (``_haar_deviation``) and that
+value as payload rows (``_haar_rows``, never an array) are written only here,
+for ``choi_block``, the security report, the design check and the ``haar`` command.
 
 Haar averages over U(2) come in two independent forms:
 
@@ -147,17 +147,27 @@ def _choi_block(lifts: list[np.ndarray], weights: np.ndarray, m: int, n: int) ->
     return (weights[:, None] * lifts[m].reshape(s, -1)).T @ lifts[n].reshape(s, -1).conj()
 
 
-def _haar_block(m: int, n: int) -> np.ndarray:
-    """The Haar channel's Choi block delta_mn I/(n+1), shape ((m+1)^2, (n+1)^2)."""
+def _haar_rows(m: int, n: int) -> list:
+    """The Haar Choi block delta_mn I/(n+1) as ``fock._json_pairs`` rows whose lists are shared, not copied.
+
+    A cross block repeats one zero row; row i of a diagonal block is that zero
+    row with the pair [1/(n+1), 0.0] at position i. Readers must not write to them.
+    """
+    zero = [[0.0, 0.0]] * (n + 1) ** 2
     if m != n:
-        return np.zeros(((m + 1) ** 2, (n + 1) ** 2))
-    return np.eye((n + 1) ** 2) / (n + 1)
+        return [zero] * (m + 1) ** 2
+    entry = [1.0 / (n + 1), 0.0]
+    return [zero[:i] + [entry] + zero[i + 1 :] for i in range(len(zero))]
 
 
 def _haar_deviation(block: np.ndarray, m: int, n: int) -> float:
-    """||C_mn - delta_mn I/(n+1)||_F; a cross block is measured as it is."""
-    d = block - _haar_block(m, n) if m == n else block
-    return math.sqrt(np.vdot(d, d).real)  # np.linalg.norm builds real and imaginary temporaries
+    """||C_mn - delta_mn I/(n+1)||_F; a cross block is measured as it is.
+
+    Consumes ``block``: 1/(n+1) comes off a diagonal block's diagonal in place, so callers pass a fresh product.
+    """
+    if m == n:
+        block.reshape(-1)[:: block.shape[1] + 1] -= 1.0 / (n + 1)
+    return math.sqrt(np.vdot(block, block).real)  # np.linalg.norm builds real and imaginary temporaries
 
 
 def lift_symmetric(u: np.ndarray, n: int) -> np.ndarray:
@@ -207,25 +217,15 @@ class HaarQuadrature:
     @cached_property
     def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
         m, g = 2 * self.order + 1, self.order + 1
-        phi = 2.0 * np.pi * np.arange(m) / m
+        e = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
         u, w = np.polynomial.legendre.leggauss(g)
         cos_t = np.sqrt((1.0 + u) / 2.0)
         sin_t = np.sqrt((1.0 - u) / 2.0)
-        count = m * m * g
-        us = np.empty((count, 2, 2), dtype=np.complex128)
-        ws = np.empty(count)
-        idx = 0
-        for a in range(m):
-            ea = np.exp(1j * phi[a])
-            for b in range(m):
-                eb = np.exp(1j * phi[b])
-                for c in range(g):
-                    us[idx, 0, 0] = ea * cos_t[c]
-                    us[idx, 0, 1] = eb * sin_t[c]
-                    us[idx, 1, 0] = -np.conj(eb) * sin_t[c]
-                    us[idx, 1, 1] = np.conj(ea) * cos_t[c]
-                    ws[idx] = w[c] / (2.0 * m * m)
-                    idx += 1
+        # Node (a, b, c) has phases e[a], e[b] and angle c, in row-major order.
+        ea, eb = e[:, None, None], e[None, :, None]
+        entries = (ea * cos_t, eb * sin_t, -eb.conj() * sin_t, ea.conj() * cos_t)
+        us = np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(-1, 2, 2)
+        ws = np.broadcast_to(w / (2.0 * m * m), (m, m, g)).reshape(-1)
         return us, ws
 
     @property

@@ -1,9 +1,12 @@
+import argparse
+import hashlib
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +353,32 @@ def test_haar_payload_at_the_cap_is_the_closed_form(capsys):
             for i in range((m + 1) ** 2)
         ]
         assert b["matrix"] == expected, (m, n)
+
+
+@pytest.mark.parametrize("fmt, size, digest", [
+    ("json", 985145, "859808d415826db0309582f2ca435b9baef4d4a36da5e7336120f576c8cfe1a9"),
+    ("text", 2605425, "a3c01b4a74d7eb7964a07eb3b79e9e061fe8e11f8ed0ff8a2ca446a41c877481"),
+])
+def test_haar_bytes_at_the_cap_are_pinned(capsys, fmt, size, digest):
+    # The stdout bytes at N = 8, trailing newline included; the other haar tests parse the payload or stop at N = 4.
+    code, out, _ = run(capsys, "haar", "--max-photons", str(MAX_PHOTON_BOUND), "--format", fmt)
+    assert code == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_haar_payload_forms_no_dense_block():
+    # Shared closed-form rows: building and encoding the N = 8 payload peaks at
+    # 3.6 MB, and at 14.0 MB when each block is a dense array turned into pairs.
+    args = argparse.Namespace(max_photons=MAX_PHOTON_BOUND)
+    json.dumps(cli._cmd_haar(args)[0])
+    tracemalloc.start()
+    try:
+        json.dumps(cli._cmd_haar(args)[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def test_choi_json_schema(capsys):

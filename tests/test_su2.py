@@ -200,6 +200,25 @@ def test_quadrature_nodes_are_unitary_and_weights_normalized():
         assert np.abs(u @ u.conj().T - eye).max() < 1e-12
 
 
+def test_quadrature_nodes_match_the_loop_construction():
+    # The nodes (a, b, c) in row-major order, entry by entry as a scalar loop builds them, bit for bit.
+    for order in (1, 2, 4, 8):
+        m, g = 2 * order + 1, order + 1
+        u, w = np.polynomial.legendre.leggauss(g)
+        cos_t, sin_t = np.sqrt((1.0 + u) / 2.0), np.sqrt((1.0 - u) / 2.0)
+        phi = 2.0 * np.pi * np.arange(m) / m
+        us, ws = [], []
+        for a in range(m):
+            ea = np.exp(1j * phi[a])
+            for b in range(m):
+                eb = np.exp(1j * phi[b])
+                for c in range(g):
+                    us.append([[ea * cos_t[c], eb * sin_t[c]], [-np.conj(eb) * sin_t[c], np.conj(ea) * cos_t[c]]])
+                    ws.append(w[c] / (2.0 * m * m))
+        q = HaarQuadrature(order)
+        assert q.unitaries.tobytes() == np.array(us).tobytes()
+        assert q.weights.tobytes() == np.array(ws).tobytes()
+
 def test_quadrature_order_guards():
     with pytest.raises(QuadratureOrderError):
         HaarQuadrature(0)
