@@ -51,8 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitaryError, ParseError, WeightSumError
-from .fock import (_PROJECT_ABOVE, _UNIT_ROUNDOFF, _array, _count, _json_complex, _json_number, _read_json_object,
-                   _tolerance)
+from .fock import _PROJECT_ABOVE, _UNIT_ROUNDOFF, _array, _count, _from_json_pairs, _read_json_object, _tolerance
 from .su2 import _check_qubit_unitaries, _choi_block, _haar_deviation, _lift_sweep, _moment, _multiplicity
 
 __all__ = [
@@ -70,6 +69,7 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-12
+_MAX_FRAME_ORDER = 511  # the last k at which 4^k, the largest F_k of any ensemble, is a finite float
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -164,7 +164,7 @@ def _frame_potentials(ensemble: WeightedEnsemble, k: int) -> tuple[float, float]
 
 def frame_potential(ensemble: WeightedEnsemble, k: int) -> float:
     """F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k)."""
-    return _frame_potentials(ensemble, _count(k, "k", lo=1, error=ValueError))[1]
+    return _frame_potentials(ensemble, _count(k, "k", lo=1, hi=_MAX_FRAME_ORDER, error=ValueError))[1]
 
 
 def haar_frame_potential(k: int) -> float:
@@ -173,7 +173,7 @@ def haar_frame_potential(k: int) -> float:
     By invariance the double Haar average collapses to a single one, which
     for a qubit is the k-th Catalan number C(2k, k)/(k+1) (1, 2, 5, 14, ...).
     """
-    k = _count(k, "k", lo=1, error=ValueError)
+    k = _count(k, "k", lo=1, hi=_MAX_FRAME_ORDER, error=ValueError)
     return float(math.comb(2 * k, k) // (k + 1))
 
 
@@ -290,7 +290,7 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
     A k-design is a design at every lower order, so checking the target
     order suffices.
     """
-    k, tol = _count(k, "k", lo=1, error=ValueError), _tolerance(tol)
+    k, tol = _count(k, "k", lo=1, hi=_MAX_FRAME_ORDER, error=ValueError), _tolerance(tol)
     lower, potential = _frame_potentials(ensemble, k)
     haar = haar_frame_potential(k)
     gap = potential - haar
@@ -316,7 +316,11 @@ def key_length(ensemble: WeightedEnsemble) -> float:
 
 
 def ensemble_from_json_dict(data: dict) -> WeightedEnsemble:
-    """Schema: {"name": str, "elements": [{"weight": w, "unitary": [[[re,im],...],...]}]}."""
+    """Schema: {"name": str, "elements": [{"weight": w, "unitary": [[[re,im],...],...]}]}.
+
+    Each weight and each [re, im] pair takes the ``fock._array`` number rule: a bool, a string, an int past
+    the float range or a unitary other than 2x2 raises ParseError naming the element's index.
+    """
     try:
         name = data.get("name", "")
         elements = data["elements"]
@@ -329,13 +333,13 @@ def ensemble_from_json_dict(data: dict) -> WeightedEnsemble:
     weights, unitaries = [], []
     for i, el in enumerate(elements):
         try:
-            weights.append(_json_number(el["weight"]))
-            unitaries.append([[_json_complex(z) for z in row] for row in el["unitary"]])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            weights.append(_array(el["weight"], (), "weight", ParseError, np.float64))
+            unitaries.append(_from_json_pairs(el["unitary"], (2, 2), "unitary"))
+        except (KeyError, TypeError, ParseError) as exc:
             raise ParseError(f"malformed ensemble element {i}: {exc}") from exc
     if not unitaries:
         raise ParseError("ensemble has no elements")
-    return WeightedEnsemble(unitaries, weights, name=name)
+    return WeightedEnsemble(np.array(unitaries), np.array(weights), name=name)
 
 
 def load_ensemble(name_or_path: str | os.PathLike) -> WeightedEnsemble:

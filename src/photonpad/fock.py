@@ -47,6 +47,7 @@ NORM_TOL = 1e-12
 _UNIT_ROUNDOFF = 2.0**-53  # u of a float64; a Python float, as a numpy scalar makes every comparison slow
 _PROJECT_ABOVE = 16 * _UNIT_ROUNDOFF  # an input off its constraint by more than this is stored projected
 MAX_TOL = 1e-3  # a larger tol would pass order-one deviations, such as pauli's sqrt(2) on the (2,2) block
+_MAY_BE_BOOL = frozenset({bool, np.bool_, np.ndarray})  # a 0-d array in a nesting may hold a bool too
 
 
 def _count(value, name: str, lo: int = 0, hi: int | None = None, error: type = SectorRangeError) -> int:
@@ -71,29 +72,41 @@ def _tolerance(value) -> float:
     raise ValueError(f"tol must be a number in (0, {MAX_TOL:g}], got {value!r}")
 
 
-def _numbers(values, what: str) -> tuple[list[complex], float]:
-    """The package's one rule for numbers: ints, floats, complex or numpy numbers, never a bool or a string.
+def _array(value, shape: tuple, what: str, error: type, dtype=np.complex128) -> np.ndarray:
+    """The package's one rule for numbers: ints or floats (complex too, for a complex ``dtype``), never a bool.
 
-    Returns them as complex, and sum |z|^2 in products, which reach inf where ``abs`` or ``**`` would raise
-    OverflowError; anything else raises NormalizationError.
+    Returns a copy as ``dtype`` of ``shape``, where None matches any length; anything else raises ``error``:
+    an int past the float range (an object array), or a bool anywhere, which numpy reads among numbers as 0 or 1.
     """
-    amps, norm = [], 0.0
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (complex, float, int, np.number)):
-            raise NormalizationError(f"{what} must be numbers, got {value!r}")
-        z = complex(value)
-        amps.append(z)
-        norm += z.real * z.real + z.imag * z.imag
-    return amps, norm
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise error(f"{what} must be numbers, got a ragged nesting") from None
+    complex_ok = issubclass(dtype, np.complexfloating)
+    if array.dtype.kind not in ("iufc" if complex_ok else "iuf"):
+        raise error(f"{what} must be {'' if complex_ok else 'real '}numbers, got dtype {array.dtype}")
+    fresh = isinstance(value, (list, tuple))  # numpy copied it, and a flat one holds the numbers themselves
+    if not isinstance(value, np.ndarray):
+        items = value if fresh and array.ndim == 1 else np.asarray(value, dtype=object).ravel()
+        if not _MAY_BE_BOOL.isdisjoint(map(type, items)) and any(np.asarray(x).dtype == bool for x in items):
+            raise error(f"{what} must be numbers, got a bool among them")
+    # Only a fixed length needs the scan; an amplitude vector, of shape (None,), skips it
+    if array.ndim != len(shape) or shape.count(None) < len(shape) and any(
+            n not in (None, m) for n, m in zip(shape, array.shape)):
+        raise error(f"expected shape {shape}, got {array.shape}")
+    return array.astype(dtype, copy=not fresh)
 
 
 def _unit_amplitudes(values, what: str) -> tuple[complex, ...]:
-    """The package's one rule for an amplitude vector: ``_numbers`` with sum |z|^2 = 1, stored exact to 16u.
+    """The package's one rule for an amplitude vector: ``_array`` numbers with sum |z|^2 = 1, stored exact to 16u.
 
     The sum must be 1 within ``NORM_TOL``, or NormalizationError, so an empty or non-finite vector fails too;
     a sum off by more than 16u is divided out, so no admitted slack compounds with N.
     """
-    amps, norm = _numbers(values, what)
+    amps = _array(values, (None,), what, NormalizationError).tolist()
+    norm = 0.0
+    for z in amps:  # products reach inf where abs or ** would raise OverflowError
+        norm += z.real * z.real + z.imag * z.imag
     if abs(norm - 1.0) <= _PROJECT_ABOVE:
         return tuple(amps)
     if not abs(norm - 1.0) <= NORM_TOL:
@@ -102,23 +115,6 @@ def _unit_amplitudes(values, what: str) -> tuple[complex, ...]:
                                  f"sum |z|^2 over {what} = {norm!r} is not 1 within {NORM_TOL}")
     scale = 1.0 / math.sqrt(norm)
     return tuple(z * scale for z in amps)
-
-
-def _array(value, shape: tuple, what: str, error: type, dtype=np.complex128) -> np.ndarray:
-    """The package's one rule for an array argument: ints or floats (complex too, for a complex ``dtype``).
-
-    Returns a copy as ``dtype`` of ``shape``, where None matches any length; anything else raises ``error``.
-    """
-    try:
-        array = np.asarray(value)
-    except ValueError:  # numpy refuses a ragged nesting
-        raise error(f"{what} must be numbers, got a ragged nesting") from None
-    complex_ok = np.dtype(dtype).kind == "c"
-    if array.dtype.kind not in ("iufc" if complex_ok else "iuf"):
-        raise error(f"{what} must be {'' if complex_ok else 'real '}numbers, got dtype {array.dtype}")
-    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
-        raise error(f"expected shape {shape}, got {array.shape}")
-    return array.astype(dtype)
 
 
 def _read_json_object(path, what: str) -> dict:
@@ -141,28 +137,22 @@ def _read_json_object(path, what: str) -> dict:
     return data
 
 
-def _json_number(value) -> float:
-    """A JSON number as a float; bools and numeric strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _json_complex(pair) -> complex:
-    """An [re, im] pair of JSON numbers as a complex."""
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise TypeError(f"expected an [re, im] pair, got {type(pair).__name__}")
-    return complex(_json_number(pair[0]), _json_number(pair[1]))
-
-
 def _json_pairs(mat) -> list:
-    """A complex matrix as rows of [re, im] Python-float pairs, the inverse of ``_json_complex``.
+    """A complex matrix as rows of [re, im] Python-float pairs, the inverse of ``_from_json_pairs``.
 
     One ``tolist`` of the stacked real and imaginary parts builds every row, so
     the pairs are Python floats and each zero keeps its sign.
     """
     m = np.asarray(mat)
     return np.stack((m.real, m.imag), -1).tolist()
+
+
+def _from_json_pairs(pairs, shape: tuple, what: str) -> np.ndarray:
+    """[re, im] pairs nested to ``shape`` as a complex array, the inverse of ``_json_pairs``, by the ``_array`` rule.
+
+    Anything but [re, im] pairs of numbers, nested to ``shape``, raises ParseError; each zero keeps its sign.
+    """
+    return np.ascontiguousarray(_array(pairs, (*shape, 2), what, ParseError, np.float64)).view(np.complex128)[..., 0]
 
 
 @functools.cache
@@ -247,11 +237,11 @@ class SourceSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceSpec":
+        """Schema: {"alpha": [re, im], "beta": [re, im], "photon_amplitudes": [[re, im], ...]}, by ``_array``."""
         try:
-            alpha = _json_complex(data["alpha"])
-            beta = _json_complex(data["beta"])
-            amps = tuple(_json_complex(c) for c in data["photon_amplitudes"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            alpha, beta = _from_json_pairs([data["alpha"], data["beta"]], (2,), "(alpha, beta)").tolist()
+            amps = _from_json_pairs(data["photon_amplitudes"], (None,), "photon_amplitudes")
+        except (KeyError, TypeError, ParseError) as exc:
             raise ParseError(f"malformed source spec: {exc}") from exc
         return cls(PolarizationSpec(alpha, beta), amps)
 

@@ -45,7 +45,7 @@ import numpy as np
 from .channels import _dephasing_period, _group_labels, choi_block
 from .designs import WeightedEnsemble, clifford12_ensemble
 from .errors import NormalizationError
-from .fock import (NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _count, _json_pairs, _numbers,
+from .fock import (NORM_TOL, PolarizationSpec, SectorStructure, SourceSpec, _array, _count, _json_pairs,
                    _source_rows, _tolerance)
 from .linalg import frobenius
 from .su2 import _haar_deviation
@@ -341,8 +341,8 @@ def reproduce_appendix_b(
     independent of the polarization: within the fixed parity the scheme
     erases everything except the photon-number distribution.
     """
-    ((c,), square), tol = _numbers((c,), "c"), _tolerance(tol)
-    if square - 1.0 > NORM_TOL:  # SourceSpec's sum, so its check cannot fail below
+    c, tol = _array(c, (), "c", NormalizationError).item(), _tolerance(tol)
+    if c.real * c.real + c.imag * c.imag - 1.0 > NORM_TOL:  # SourceSpec's sum, so its check cannot fail below
         raise NormalizationError(f"|c| = {math.hypot(c.real, c.imag)!r} exceeds 1")  # abs(c) may overflow
     polarization = PolarizationSpec(alpha, beta)
     weight = min(abs(c) ** 2, 1.0)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from photonpad import su2
-from photonpad.designs import clifford12_ensemble
-from photonpad.fock import _json_pairs
+from photonpad.designs import WeightedEnsemble, clifford12_ensemble
+from photonpad.fock import PolarizationSpec, SourceSpec, _json_pairs
 
 
 def random_unitary(rng, dim=2):
@@ -26,6 +26,27 @@ def random_density(rng, dim):
 def random_state(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
+
+
+def random_ensemble(rng, size):
+    """Random U(2) elements (det != 1) with non-uniform weights."""
+    weights = rng.random(size) + 0.1
+    return WeightedEnsemble([random_unitary(rng) for _ in range(size)], weights / weights.sum())
+
+
+def random_source(rng, max_photons):
+    v = random_state(rng, 2)
+    return SourceSpec(PolarizationSpec(v[0], v[1]), tuple(random_state(rng, max_photons + 1)))
+
+
+def pauli8_ensemble():
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    us = []
+    for u in (np.eye(2), sx, sy, sz):
+        us.extend([u, -u])
+    return WeightedEnsemble(us, [0.125] * 8, name="pauli8")
 
 
 def ensemble_to_json_dict(ensemble):

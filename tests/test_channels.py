@@ -25,18 +25,8 @@ from photonpad.fock import PolarizationSpec, SectorStructure, SourceSpec, build_
 from photonpad.security import security_report
 from photonpad.su2 import HaarQuadrature, block_lift, haar_choi, haar_moment, sector_lifts
 
-from conftest import random_density, random_unitary
+from conftest import pauli8_ensemble, random_density, random_unitary
 from test_su2 import dense_lift
-
-
-def pauli8_ensemble():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    us = []
-    for u in (np.eye(2), sx, sy, sz):
-        us.extend([u, -u])
-    return WeightedEnsemble(us, [0.125] * 8, name="pauli8")
 
 
 def source_density(alpha, beta, amplitudes, structure):

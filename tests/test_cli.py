@@ -613,6 +613,20 @@ def test_overflowing_amplitude_fails_closed(capsys, tmp_path):
     assert_fails_closed(capsys, "leakage", "--ensemble", "pauli", "--max-photons", "1", a, b)
 
 
+def test_bool_among_numbers_in_an_input_file_fails_closed(capsys, tmp_path):
+    # true is not the JSON number 1: each reader takes the array rule, which numpy alone would read as 1
+    data = ensemble_to_json_dict(pauli_ensemble())
+    assert data["elements"][0]["unitary"][0][0] == [1.0, 0.0]
+    data["elements"][0]["unitary"][0][0] = [True, 0.0]
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(data))
+    assert_fails_closed(capsys, "analyze", "--ensemble", str(path))
+    a = write_source(tmp_path, "a.json", 1.0, 0.0, (0.0, 1.0))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"alpha": [True, 0], "beta": [0.0, 0.0], "photon_amplitudes": [[0.0, 0.0], [1.0, 0.0]]}))
+    assert_fails_closed(capsys, "leakage", "--ensemble", "pauli", "--max-photons", "1", a, str(b))
+
+
 def test_out_writes_file_and_silences_stdout(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(

@@ -32,7 +32,7 @@ from photonpad.linalg import frobenius
 from photonpad.security import Classification, _classify, security_report
 from photonpad.su2 import UNITARY_TOL, HaarQuadrature, _multiplicity, haar_moment
 
-from conftest import ensemble_to_json_dict, random_unitary
+from conftest import ensemble_to_json_dict, random_ensemble, random_unitary
 
 
 def test_pauli_ensemble_basics():
@@ -190,12 +190,6 @@ def test_frame_gap_passes_where_the_design_verdict_fails():
     assert check.to_json_dict()["passed"] is False
 
 
-def _random_ensemble(rng, size):
-    """Random U(2) elements (det != 1) with non-uniform weights."""
-    weights = rng.random(size) + 0.1
-    return WeightedEnsemble([random_unitary(rng) for _ in range(size)], weights / weights.sum())
-
-
 def test_spin_block_deviation_forms_no_haar_block():
     # The Haar value is subtracted on the diagonal of each product in place, so
     # no identity-sized array joins the blocks: at k = 20 the peak reads 3.9 MB,
@@ -213,7 +207,7 @@ def test_spin_block_deviation_forms_no_haar_block():
 
 def test_spin_block_deviation_matches_dense_moments(rng):
     # Oracle: the 4^k x 4^k moment operators, against the spin-block sum of is_k_design.
-    ensembles = [pauli_ensemble(), clifford12_ensemble()] + [_random_ensemble(rng, s) for s in (1, 3, 24)]
+    ensembles = [pauli_ensemble(), clifford12_ensemble()] + [random_ensemble(rng, s) for s in (1, 3, 24)]
     assert any(abs(np.linalg.det(u) - 1) > 0.1 for u in ensembles[-1].unitaries)
     for k in (1, 2, 3, 4):
         haar = haar_moment(k)
@@ -248,6 +242,18 @@ def test_bad_design_order_raises_value_error():
     for k in (0, -1, 2.0, True, None):
         with pytest.raises(ValueError):
             is_k_design(pauli_ensemble(), k)
+
+
+def test_design_order_stops_where_a_frame_potential_stops_being_finite():
+    # F_k <= 4^k for every ensemble, and 4^511 is the last such power that is a finite float; at k = 512
+    # clifford12's F_k overflowed with a RuntimeWarning, and from k = 520 the Catalan number raised OverflowError
+    for e in (pauli_ensemble(), clifford12_ensemble()):
+        assert math.isfinite(frame_potential(e, 511))
+    assert math.isfinite(haar_frame_potential(511))
+    for call in (lambda: frame_potential(clifford12_ensemble(), 512), lambda: haar_frame_potential(512),
+                 lambda: is_k_design(clifford12_ensemble(), 512)):
+        with pytest.raises(ValueError, match=r"^k must be an int in \[1, 511\], got 512$"):
+            call()
 
 
 def test_design_check_json_fields():
@@ -451,7 +457,7 @@ def exact_frame_potential(e, k):
 
 
 def test_gap_bound_covers_the_rounding_of_the_frame_potential(rng):
-    ensembles = [pauli_ensemble(), clifford12_ensemble()] + [_random_ensemble(rng, s) for s in (1, 3, 8)]
+    ensembles = [pauli_ensemble(), clifford12_ensemble()] + [random_ensemble(rng, s) for s in (1, 3, 8)]
     for e in ensembles:
         for k in (1, 2, 3, 4, 5):
             gap, bound = gap_and_bound(e, k)
@@ -486,7 +492,7 @@ def test_gap_bound_covers_unitarity_and_weight_slack(rng):
     # The gap equals deviation^2 only for unitary elements and weights summing
     # to one; the validation allows 1e-10 and 1e-12 off. The ensemble projects
     # the elements to within 16u, and B must cover that and the weights.
-    bases = [pauli_ensemble(), clifford12_ensemble()] + [_random_ensemble(rng, s) for s in (1, 5, 12)]
+    bases = [pauli_ensemble(), clifford12_ensemble()] + [random_ensemble(rng, s) for s in (1, 5, 12)]
     for base in bases:
         for residual, weight_sum in ((0.9 * UNITARY_TOL, 1.0), (0.0, 1 + 0.9 * WEIGHT_TOL), (0.0, 1 - 0.9 * WEIGHT_TOL)):
             e = perturbed(rng, base, residual, weight_sum)

@@ -32,6 +32,7 @@ from photonpad.fock import (
     symmetric_embedding,
 )
 from photonpad.linalg import trace_norm
+from photonpad.security import reproduce_appendix_b
 from photonpad.su2 import block_lift, check_density, lift_symmetric, sector_lifts
 
 from conftest import random_state
@@ -163,11 +164,25 @@ def test_amplitudes_are_numbers():
     for alpha, beta in (("0.6", "0.8j"), (True, 0), (np.bool_(True), 0), (0.6, b"0.8")):
         with pytest.raises(NormalizationError, match=r"^\(alpha, beta\) must be numbers, got "):
             PolarizationSpec(alpha, beta)
-    with pytest.raises(NormalizationError, match="^photon_amplitudes must be numbers, got '0'"):
+    with pytest.raises(NormalizationError, match="^photon_amplitudes must be numbers, got dtype <U1$"):
         SourceSpec(PolarizationSpec(1.0, 0.0), ["0", "1"])
     numbers = SourceSpec(PolarizationSpec(np.float32(1), 0), (np.int64(0), np.complex64(1), 0.0))
     assert numbers.photon_amplitudes == (0j, 1 + 0j, 0j)
     assert all(type(z) is complex for z in numbers.photon_amplitudes + (numbers.polarization.alpha,))
+
+
+@pytest.mark.parametrize("value, got, got_alone", [(np.True_, "a bool among them", "dtype bool"),
+                                                   (10**400, "dtype object", "dtype object")], ids=["bool", "huge int"])
+def test_amplitudes_refuse_a_bool_among_numbers_and_an_int_past_the_float_range(value, got, got_alone):
+    # numpy reads (True, 0.5) as (1.0, 0.5); complex(10**400) raised a bare OverflowError
+    pol = PolarizationSpec(1.0, 0.0)
+    for build, what in ((lambda: PolarizationSpec(value, 0.5), r"\(alpha, beta\)"),
+                        (lambda: SourceSpec(pol, (value, 0.5)), "photon_amplitudes"),
+                        (lambda: reproduce_appendix_b(0.6, value, 0.5), r"\(alpha, beta\)")):
+        with pytest.raises(NormalizationError, match=f"^{what} must be numbers, got {got}$"):
+            build()
+    with pytest.raises(NormalizationError, match=f"^c must be numbers, got {got_alone}$"):
+        reproduce_appendix_b(value, 1.0, 0.0)
 
 
 U = np.finfo(np.float64).eps / 2
@@ -251,9 +266,22 @@ ARRAY_ENTRY_POINTS = {
     "trace_norm": (trace_norm, EYE, DimensionError),
     "as_choi_operator": (lambda a: as_choi_operator(a, ONE_PHOTON), np.eye(9), SectorRangeError),
 }
+
+
+def with_a_bool(v):
+    """``v`` as nested lists with its first entry replaced by True."""
+    nested = v.tolist()
+    inner = nested
+    while isinstance(inner[0], list):
+        inner = inner[0]
+    inner[0] = True
+    return nested
+
+
 MALFORMED_ARRAYS = {
     "string": lambda v: v.astype(str),
     "bool": lambda v: v.astype(bool),
+    "bool among numbers": with_a_bool,
     "object": lambda v: v.astype(object),
     "ragged": lambda v: [v.tolist(), v.tolist()[:-1]],
     "extra axis": lambda v: v[None],

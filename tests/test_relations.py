@@ -34,21 +34,11 @@ from photonpad.fock import PolarizationSpec, SourceSpec
 from photonpad.security import Classification, leakage, security_report
 from photonpad.su2 import HaarQuadrature
 
-from conftest import random_state, random_unitary
+from conftest import random_ensemble, random_source, random_unitary
 
 PRE_CHANNELS = [None, parity_dephase, photon_number_dephase]
 SMALL = settings(derandomize=True, database=None, deadline=None, max_examples=15)
 SMALL_INPUTS = given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), top=st.integers(0, 6))
-
-
-def random_ensemble(rng, size):
-    weights = rng.random(size) + 0.1
-    return WeightedEnsemble([random_unitary(rng) for _ in range(size)], weights / weights.sum())
-
-
-def random_source(rng, max_photons):
-    v = random_state(rng, 2)
-    return SourceSpec(PolarizationSpec(v[0], v[1]), tuple(random_state(rng, max_photons + 1)))
 
 
 def rotated(source, w):

@@ -23,17 +23,8 @@ from photonpad.security import (
 )
 from photonpad.su2 import HaarQuadrature, block_lift, lift_symmetric, sector_lifts
 
-from conftest import antisymmetric_identity_check, exact_squared_deviations, random_state, random_unitary
-
-
-def pauli8_ensemble():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    us = []
-    for u in (np.eye(2), sx, sy, sz):
-        us.extend([u, -u])
-    return WeightedEnsemble(us, [0.125] * 8, name="pauli8")
+from conftest import (antisymmetric_identity_check, exact_squared_deviations, pauli8_ensemble, random_ensemble,
+                      random_source, random_state, random_unitary)
 
 
 def source(alpha, beta, amplitudes):
@@ -336,15 +327,6 @@ def test_leakage_matches_dense_oracle_past_cli_cap(rng, max_photons):
         assert abs(leakage(e, a, b, max_photons, pre_channel=pre) - expected) <= 1e-13
 
 
-def random_ensemble(rng, size):
-    weights = rng.random(size) + 0.1
-    return WeightedEnsemble([random_unitary(rng) for _ in range(size)], weights / weights.sum())
-
-
-def random_source(rng, max_photons):
-    return SourceSpec(random_polarization(rng), tuple(random_state(rng, max_photons + 1)))
-
-
 # (size, max_photons, pre-channel, route). Groups of at most 12 states share one
 # batched eigensolve ("stacked"), wider ones are solved alone ("alone"), and a
 # group wider than its 2s rows plus 16 is solved from its 2s x 2s QR core ("core").
@@ -582,9 +564,11 @@ def test_reproduce_appendix_b_validation():
         reproduce_appendix_b(1 + 9e-13, 1.0, 0.0)
     assert reproduce_appendix_b(1 + 4e-13, 1.0, 0.0).passed
     # c takes the amplitudes' number rule, so "0.6" and True are not read as 0.6 and 1
-    for c in ("0.6", True, None, [0.6]):
-        with pytest.raises(NormalizationError, match="^c must be numbers, got "):
+    for c in ("0.6", True, None):
+        with pytest.raises(NormalizationError, match="^c must be numbers, got dtype "):
             reproduce_appendix_b(c, 0.8, 0.6)
+    with pytest.raises(NormalizationError, match=r"^expected shape \(\), got \(1,\)$"):
+        reproduce_appendix_b([0.6], 0.8, 0.6)
 
 
 def test_reproduce_appendix_b_matches_the_reference_channel(lift_sweeps, rng):
