@@ -21,7 +21,6 @@ Options must be spelled in full: ``--alp`` or ``--max`` is an input error.
 Complex number literals on the command line are single tokens of the form
 ``a``, ``bi``, ``a+bi`` or ``a-bi``, e.g. ``0.6``, ``-i``, ``0.6+0.8i``; one
 that starts with a minus sign may follow its option as ``--c -i`` or ``--c=-i``.
-An ensemble file with no name is named by its ``--ensemble`` path in every payload.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ import numpy as np
 
 from . import __version__
 from .channels import parity_dephase, photon_number_dephase
-from .designs import WeightedEnsemble, is_k_design, key_length, load_ensemble
+from .designs import MAX_DESIGN_ORDER, is_k_design, key_length, load_ensemble
 from .errors import ParseError, PhotonPadError
-from .fock import MAX_TOL, SourceSpec, _json_pairs, _read_json_object, _tolerance
+from .fock import MAX_TOL, SourceSpec, _count, _json_pairs, _read_json_object, _tolerance
 from .security import (
     Classification,
     leakage,
@@ -50,7 +49,6 @@ from .su2 import _haar_rows, lift_symmetric
 __all__ = ["main", "parse_complex"]
 
 MAX_PHOTON_BOUND = 8
-MAX_DESIGN_ORDER = 5
 
 _CLASSIFICATION_EXIT = {
     Classification.SECURE: 0,
@@ -89,16 +87,13 @@ def _fmt_matrix(rows: list) -> list[str]:
     return ["  " + " ".join(_fmt_complex(re, im) for re, im in row) for row in rows]
 
 
-def _int_in(lo: int, hi: int):
-    """An argparse type: an int within [lo, hi]. A token that does not parse reads "invalid int value: ..."."""
+def _counted(name: str, lo: int, hi: int):
+    """``fock._count`` as an argparse type, as ``_tol`` is ``_tolerance``; a non-int reads "invalid int value: ..."."""
 
     def parse(token: str) -> int:
-        value = int(token)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {value}")
-        return value
+        return _count(int(token), name, lo, hi, argparse.ArgumentTypeError)
 
-    parse.__name__ = "int"
+    parse.__name__ = "int"  # argparse names the type in that message
     return parse
 
 
@@ -153,10 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run, render=render)
         return p
 
-    photons, sector = _int_in(1, MAX_PHOTON_BOUND), _int_in(0, MAX_PHOTON_BOUND)
+    photons = _counted("max_photons", 1, MAX_PHOTON_BOUND)
     p = command(sub, "design-check", _cmd_design_check, _render_design_check, 1e-9, help="k-design verification")
     p.add_argument("--ensemble", required=True, help="builtin name (pauli, clifford12) or JSON path")
-    p.add_argument("--k", type=_int_in(1, MAX_DESIGN_ORDER), required=True,
+    p.add_argument("--k", type=_counted("k", 1, MAX_DESIGN_ORDER), required=True,
                    help=f"design order to certify, 1..{MAX_DESIGN_ORDER}")
 
     p = command(sub, "analyze", _cmd_analyze, _render_analyze, 1e-9, help="Choi-block security classification")
@@ -180,10 +175,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source_b", help="source spec JSON file")
 
     p = command(sub, "haar", _cmd_haar, _render_haar, help="Haar channel Choi operator")
-    p.add_argument("--max-photons", type=sector, default=3)
+    p.add_argument("--max-photons", type=_counted("max_photons", 0, MAX_PHOTON_BOUND), default=3)
 
     p = command(sub, "lift", _cmd_lift, _render_lift, help="lift a qubit unitary to an n-photon sector")
-    p.add_argument("--n", type=sector, required=True, help="photon number")
+    p.add_argument("--n", type=_counted("n", 0, MAX_PHOTON_BOUND), required=True, help="photon number")
     p.add_argument("--unitary", type=_unitary, required=True,
                    help="four comma-separated complex literals u00,u01,u10,u11")
     # A missing subcommand is reported by metavar, or else by the internal dest.
@@ -192,17 +187,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_ensemble(args) -> tuple[WeightedEnsemble, str]:
-    """The ``--ensemble`` argument loaded, with the name every payload shows: its own, or else the argument."""
-    ensemble = load_ensemble(args.ensemble)
-    return ensemble, ensemble.name or args.ensemble
-
-
 def _cmd_design_check(args) -> tuple[dict, int]:
-    ensemble, name = _load_ensemble(args)
+    ensemble = load_ensemble(args.ensemble)
     checks = [is_k_design(ensemble, k, args.tol) for k in range(1, args.k + 1)]
     payload = {
-        "ensemble": name,
+        "ensemble": ensemble.name,
         "k": args.k,
         "tol": args.tol,
         "key_bits_per_use": key_length(ensemble),
@@ -232,9 +221,8 @@ def _render_design_check(payload: dict) -> str:
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
-    ensemble, name = _load_ensemble(args)
-    report = security_report(ensemble, args.max_photons, args.tol)
-    return {**report.to_json_dict(), "ensemble": name}, _CLASSIFICATION_EXIT[report.classification]
+    report = security_report(load_ensemble(args.ensemble), args.max_photons, args.tol)
+    return report.to_json_dict(), _CLASSIFICATION_EXIT[report.classification]
 
 
 def _render_analyze(payload: dict) -> str:
@@ -298,13 +286,13 @@ def _render_reproduce_b(payload: dict) -> str:
 
 
 def _cmd_leakage(args) -> tuple[dict, int]:
-    ensemble, name = _load_ensemble(args)
+    ensemble = load_ensemble(args.ensemble)
     a, b = (SourceSpec.from_json_dict(_read_json_object(path, "source file"))
             for path in (args.source_a, args.source_b))
     pre = {"none": None, "parity": parity_dephase, "photon-number": photon_number_dephase}[args.dephase]
     value = leakage(ensemble, a, b, args.max_photons, pre_channel=pre)
     payload = {
-        "ensemble": name,
+        "ensemble": ensemble.name,
         "max_photons": args.max_photons,
         "tol": args.tol,
         "dephase": args.dephase,

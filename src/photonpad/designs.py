@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 WEIGHT_TOL = 1e-12
-_MAX_FRAME_ORDER = 511  # the last k at which 4^k, the largest F_k of any ensemble, is a finite float
+MAX_DESIGN_ORDER = 12  # the exact 12-design HaarQuadrature(12) reads 7.9e-13 here, three orders under tol 1e-9
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -164,7 +164,7 @@ def _frame_potentials(ensemble: WeightedEnsemble, k: int) -> tuple[float, float]
 
 def frame_potential(ensemble: WeightedEnsemble, k: int) -> float:
     """F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k)."""
-    return _frame_potentials(ensemble, _count(k, "k", lo=1, hi=_MAX_FRAME_ORDER, error=ValueError))[1]
+    return _frame_potentials(ensemble, _count(k, "k", lo=1, hi=MAX_DESIGN_ORDER, error=ValueError))[1]
 
 
 def haar_frame_potential(k: int) -> float:
@@ -173,7 +173,7 @@ def haar_frame_potential(k: int) -> float:
     By invariance the double Haar average collapses to a single one, which
     for a qubit is the k-th Catalan number C(2k, k)/(k+1) (1, 2, 5, 14, ...).
     """
-    k = _count(k, "k", lo=1, hi=_MAX_FRAME_ORDER, error=ValueError)
+    k = _count(k, "k", lo=1, hi=MAX_DESIGN_ORDER, error=ValueError)
     return float(math.comb(2 * k, k) // (k + 1))
 
 
@@ -262,7 +262,7 @@ def _gap_bound(ensemble: WeightedEnsemble, k: int, lower: float, potential: floa
       16 sqrt(2) k u F_k; the Haar cross term moves only at second order.
     * weights: the cross term is off by 2 |sum q - 1| C_k <= 34u C_k, as stored weights sum to 1 within 17u.
     """
-    u, root = _UNIT_ROUNDOFF, math.sqrt(potential) * math.sqrt(lower)  # F_k F_{k-1} overflows from k = 300
+    u, root = _UNIT_ROUNDOFF, math.sqrt(potential * lower)  # F_k <= 4^k, so F_k F_{k-1} is finite
     return u * (46 * k * root + (26 * k + 2 * ensemble.size + 4) * potential + 34 * haar)
 
 
@@ -288,9 +288,10 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
     spin-block value. Every other check, every passing one included, takes
     the spin blocks, and a NaN never satisfies the screen.
     A k-design is a design at every lower order, so checking the target
-    order suffices.
+    order suffices. A k outside [1, ``MAX_DESIGN_ORDER``] raises ValueError
+    before any work.
     """
-    k, tol = _count(k, "k", lo=1, hi=_MAX_FRAME_ORDER, error=ValueError), _tolerance(tol)
+    k, tol = _count(k, "k", lo=1, hi=MAX_DESIGN_ORDER, error=ValueError), _tolerance(tol)
     lower, potential = _frame_potentials(ensemble, k)
     haar = haar_frame_potential(k)
     gap = potential - haar
@@ -343,7 +344,7 @@ def ensemble_from_json_dict(data: dict) -> WeightedEnsemble:
 
 
 def load_ensemble(name_or_path: str | os.PathLike) -> WeightedEnsemble:
-    """Load a built-in ensemble by name or a JSON ensemble file by path."""
+    """Load a built-in ensemble by name or a JSON ensemble file by path; a file with no name, or "", takes its path."""
     builders = builtin_ensembles()
     if isinstance(name_or_path, str) and name_or_path in builders:
         return builders[name_or_path]()
@@ -356,4 +357,6 @@ def load_ensemble(name_or_path: str | os.PathLike) -> WeightedEnsemble:
             f"no ensemble named {name_or_path!r}: not a built-in "
             f"({', '.join(sorted(builders))}) and no such file"
         ) from None
+    if data.get("name", "") == "":
+        data["name"] = os.fsdecode(name_or_path)
     return ensemble_from_json_dict(data)

@@ -75,13 +75,18 @@ def _tolerance(value) -> float:
 def _array(value, shape: tuple, what: str, error: type, dtype=np.complex128) -> np.ndarray:
     """The package's one rule for numbers: ints or floats (complex too, for a complex ``dtype``), never a bool.
 
-    Returns a copy as ``dtype`` of ``shape``, where None matches any length; anything else raises ``error``:
-    an int past the float range (an object array), or a bool anywhere, which numpy reads among numbers as 0 or 1.
+    Returns a copy as ``dtype`` of ``shape``, where None (written n) matches any length; anything else raises
+    ``error`` naming ``what``: an int past the float range (an object array), or a bool anywhere, which numpy
+    reads among numbers as 0 or 1.
     """
     try:
         array = np.asarray(value)
-    except ValueError:  # numpy refuses a ragged nesting
-        raise error(f"{what} must be numbers, got a ragged nesting") from None
+    except ValueError:  # numpy refuses a ragged nesting, and one past its 64 axes
+        depth, inner = 0, value
+        while isinstance(inner, (list, tuple)) and inner:
+            depth, inner = depth + 1, inner[0]
+        fault = "a nesting past 64 levels" if depth > 64 else "a ragged nesting"
+        raise error(f"{what} must be numbers, got {fault}") from None
     complex_ok = issubclass(dtype, np.complexfloating)
     if array.dtype.kind not in ("iufc" if complex_ok else "iuf"):
         raise error(f"{what} must be {'' if complex_ok else 'real '}numbers, got dtype {array.dtype}")
@@ -93,7 +98,8 @@ def _array(value, shape: tuple, what: str, error: type, dtype=np.complex128) -> 
     # Only a fixed length needs the scan; an amplitude vector, of shape (None,), skips it
     if array.ndim != len(shape) or shape.count(None) < len(shape) and any(
             n not in (None, m) for n, m in zip(shape, array.shape)):
-        raise error(f"expected shape {shape}, got {array.shape}")
+        expected = "one number" if not shape else "of shape " + str(shape).replace("None", "n")
+        raise error(f"{what} must be {expected}, got shape {array.shape}")
     return array.astype(dtype, copy=not fresh)
 
 
@@ -150,9 +156,10 @@ def _json_pairs(mat) -> list:
 def _from_json_pairs(pairs, shape: tuple, what: str) -> np.ndarray:
     """[re, im] pairs nested to ``shape`` as a complex array, the inverse of ``_json_pairs``, by the ``_array`` rule.
 
-    Anything but [re, im] pairs of numbers, nested to ``shape``, raises ParseError; each zero keeps its sign.
+    Anything else raises ParseError, naming the shape of the complex array the pairs make; zeros keep their sign.
     """
-    return np.ascontiguousarray(_array(pairs, (*shape, 2), what, ParseError, np.float64)).view(np.complex128)[..., 0]
+    parts = _array(pairs, (None,) * len(shape) + (2,), what, ParseError, np.float64)
+    return _array(np.ascontiguousarray(parts).view(np.complex128)[..., 0], shape, what, ParseError)
 
 
 @functools.cache

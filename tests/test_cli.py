@@ -146,7 +146,6 @@ def test_unnamed_ensemble_file_is_named_by_its_path_in_every_payload(capsys, tmp
     path = tmp_path / "unnamed.json"
     data = ensemble_to_json_dict(photonpad.pauli_ensemble())
     del data["name"]
-    path.write_text(json.dumps(data))
     a = write_source(tmp_path, "a.json", 1.0, 0.0, (0.6, 0.8))
     b = write_source(tmp_path, "b.json", 0.0, 1.0, (0.6, 0.8))
     commands = [
@@ -154,9 +153,11 @@ def test_unnamed_ensemble_file_is_named_by_its_path_in_every_payload(capsys, tmp
         ["analyze", "--ensemble", str(path), "--max-photons", "1"],
         ["leakage", "--ensemble", str(path), "--max-photons", "1", a, b],
     ]
-    for argv in commands:
-        _, out, err = run(capsys, *argv)
-        assert json.loads(out)["ensemble"] == str(path), (argv, err)
+    for named in (data, {**data, "name": ""}):  # no name, or an empty one
+        path.write_text(json.dumps(named))
+        for argv in commands:
+            _, out, err = run(capsys, *argv)
+            assert json.loads(out)["ensemble"] == str(path), (argv, err)
 
 
 def test_reproduce_appendix_a(capsys):
@@ -409,19 +410,31 @@ def test_lift_rejects_nonunitary(capsys):
 
 
 def test_photon_bound_enforced(capsys):
-    code, _, err = run(capsys, "analyze", "--ensemble", "pauli", "--max-photons", "9")
-    assert code == 1
-    assert "error" in err
-    code, _, err = run(capsys, "haar", "--max-photons", "-1")
-    assert code == 1
+    # each count takes fock._count's message; a token that is not an int keeps argparse's own
+    for argv, message in [
+        ("analyze --ensemble pauli --max-photons 9", "--max-photons: max_photons must be an int in [1, 8], got 9"),
+        ("haar --max-photons -1", "--max-photons: max_photons must be an int in [0, 8], got -1"),
+        ("lift --n 9 --unitary 1,0,0,1", "--n: n must be an int in [0, 8], got 9"),
+        ("lift --n 2.0 --unitary 1,0,0,1", "--n: invalid int value: '2.0'"),
+    ]:
+        assert run(capsys, *argv.split()) == (1, "", f"error: argument {message}\n")
 
 
-@pytest.mark.parametrize("k", ["0", "6", "8"])
+@pytest.mark.parametrize("k", ["0", "13", "20"])
 def test_design_order_bound_enforced(capsys, k):
+    # --k takes designs.MAX_DESIGN_ORDER through fock._count, the API's own rule and message
     code, out, err = run(capsys, "design-check", "--ensemble", "pauli", "--k", k)
     assert code == 1
     assert out == ""
-    assert err == f"error: argument --k: must be in [1, 5], got {k}\n"
+    assert err == f"error: argument --k: k must be an int in [1, 12], got {k}\n"
+
+
+def test_design_check_runs_to_the_cap(capsys):
+    code, out, _ = run(capsys, "design-check", "--ensemble", "clifford12", "--k", "12")
+    assert code == 2
+    checks = json.loads(out)["checks"]
+    assert [c["k"] for c in checks] == list(range(1, 13))
+    assert [c["passed"] for c in checks] == [True, True] + [False] * 10
 
 
 def test_unknown_ensemble_fails_cleanly(capsys):
@@ -625,6 +638,21 @@ def test_bool_among_numbers_in_an_input_file_fails_closed(capsys, tmp_path):
     b = tmp_path / "b.json"
     b.write_text(json.dumps({"alpha": [True, 0], "beta": [0.0, 0.0], "photon_amplitudes": [[0.0, 0.0], [1.0, 0.0]]}))
     assert_fails_closed(capsys, "leakage", "--ensemble", "pauli", "--max-photons", "1", a, str(b))
+
+
+def test_malformed_unitary_in_a_file_is_reported_as_the_user_wrote_it(capsys, tmp_path):
+    # The shape is that of the complex matrix, without the reader's [re, im] axis; a nesting past numpy's
+    # 64 axes is not called ragged
+    path = tmp_path / "e.json"
+    three = [[[float(i == j), 0.0] for j in range(3)] for i in range(3)]
+    deep = [1.0, 0.0]
+    for _ in range(70):
+        deep = [deep]
+    for unitary, message in [(three, "of shape (2, 2), got shape (3, 3)"),
+                             (deep, "numbers, got a nesting past 64 levels")]:
+        path.write_text(json.dumps({"elements": [{"weight": 1.0, "unitary": unitary}]}))
+        code, out, err = run(capsys, "analyze", "--ensemble", str(path))
+        assert (code, out, err) == (1, "", f"error: malformed ensemble element 0: unitary must be {message}\n")
 
 
 def test_out_writes_file_and_silences_stdout(capsys, tmp_path):

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonpad.cli import MAX_DESIGN_ORDER, MAX_PHOTON_BOUND, main, parse_complex
-from photonpad.designs import pauli_ensemble
+from photonpad.cli import MAX_PHOTON_BOUND, main, parse_complex
+from photonpad.designs import MAX_DESIGN_ORDER, pauli_ensemble
 
 from conftest import ensemble_to_json_dict
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import sys
@@ -159,6 +160,16 @@ def test_tolerance_refuses_everything_else(value):
         _tolerance(value)
 
 
+def test_array_messages_name_the_argument_and_the_fault():
+    with pytest.raises(NormalizationError, match=r"^\(alpha, beta\) must be of shape \(n,\), got shape \(2, 1\)$"):
+        PolarizationSpec([0.6], [0.8])
+    deep = functools.reduce(lambda nest, _: [nest], range(64), [1.0, 0.0])  # 65 levels
+    with pytest.raises(NormalizationError, match="^photon_amplitudes must be numbers, got a nesting past 64 levels$"):
+        SourceSpec(PolarizationSpec(1.0, 0.0), deep)
+    with pytest.raises(NormalizationError, match="^photon_amplitudes must be numbers, got a ragged nesting$"):
+        SourceSpec(PolarizationSpec(1.0, 0.0), [[1.0], []])
+
+
 def test_amplitudes_are_numbers():
     # The JSON reader refuses strings and bools, and so does the constructor
     for alpha, beta in (("0.6", "0.8j"), (True, 0), (np.bool_(True), 0), (0.6, b"0.8")):
@@ -284,6 +295,7 @@ MALFORMED_ARRAYS = {
     "bool among numbers": with_a_bool,
     "object": lambda v: v.astype(object),
     "ragged": lambda v: [v.tolist(), v.tolist()[:-1]],
+    "nested past 64 levels": lambda v: functools.reduce(lambda nest, _: [nest], range(65 - v.ndim), v.tolist()),
     "extra axis": lambda v: v[None],
     "short last axis": lambda v: v[..., :-1],
 }

@@ -49,5 +49,6 @@ def test_predicates(rng):
     assert np.array_equal(check_density(rho, 3), rho)
     with pytest.raises(NotDensityOperatorError, match="^density operator is not Hermitian within tolerance$"):
         check_density(rho + np.triu(np.full((3, 3), 1e-6), 1), 3)
-    with pytest.raises(NotDensityOperatorError, match=r"^expected shape \(3, 3\), got \(2, 3\)$"):
+    shape = r"^density operator must be of shape \(3, 3\), got shape \(2, 3\)$"
+    with pytest.raises(NotDensityOperatorError, match=shape):
         check_density(np.zeros((2, 3)), 3)

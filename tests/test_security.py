@@ -567,7 +567,7 @@ def test_reproduce_appendix_b_validation():
     for c in ("0.6", True, None):
         with pytest.raises(NormalizationError, match="^c must be numbers, got dtype "):
             reproduce_appendix_b(c, 0.8, 0.6)
-    with pytest.raises(NormalizationError, match=r"^expected shape \(\), got \(1,\)$"):
+    with pytest.raises(NormalizationError, match=r"^c must be one number, got shape \(1,\)$"):
         reproduce_appendix_b([0.6], 0.8, 0.6)
 
 
