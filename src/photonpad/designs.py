@@ -70,6 +70,7 @@ __all__ = [
 
 WEIGHT_TOL = 1e-12
 MAX_DESIGN_ORDER = 12  # the exact 12-design HaarQuadrature(12) reads 7.9e-13 here, three orders under tol 1e-9
+_FRAME_ROWS = 256  # rows of the frame-potential table held at once: 2.4 MB of floats per array at s = 1183
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -147,19 +148,30 @@ def builtin_ensembles() -> dict:
 
 
 def _frame_potentials(ensemble: WeightedEnsemble, k: int) -> tuple[float, float]:
-    """(F_{k-1}(e), F_k(e)) from one table of |tr(U_i^dag U_j)|^2.
+    """(F_{k-1}(e), F_k(e)) from the table of |tr(U_i^dag U_j)|^2, ``_FRAME_ROWS`` rows i at a time.
 
     The powers are repeated products, so F_k carries k - 1 roundings of the
-    table and F_{k-1} one fewer; ``_gap_bound`` counts them.
+    table and F_{k-1} one fewer; ``_gap_bound`` counts them. An ensemble of at
+    most ``_FRAME_ROWS`` elements is one block, the whole table; a larger one
+    holds a few ``_FRAME_ROWS`` x s arrays at a time, and its blocks' sums are
+    added exactly rounded.
     """
-    flat = ensemble.unitaries.reshape(ensemble.size, 4)
-    overlaps = flat.conj() @ flat.T  # tr(U_i^dag U_j)
+    flat, ws, b = ensemble.unitaries.reshape(ensemble.size, 4), ensemble.weights, _FRAME_ROWS
+    if ensemble.size <= b:
+        return _frame_sums(flat, flat, ws, ws, k)
+    blocks = [_frame_sums(flat[i : i + b], flat, ws[i : i + b], ws, k) for i in range(0, ensemble.size, b)]
+    lower, potential = zip(*blocks)
+    return math.fsum(lower), math.fsum(potential)
+
+
+def _frame_sums(rows: np.ndarray, flat: np.ndarray, row_ws: np.ndarray, ws: np.ndarray, k: int) -> tuple[float, float]:
+    """The terms of (F_{k-1}(e), F_k(e)) from the flattened elements ``rows``, summed over all elements ``flat``."""
+    overlaps = rows.conj() @ flat.T  # tr(U_i^dag U_j)
     squares = overlaps.real**2 + overlaps.imag**2
     power = np.ones_like(squares)
     for _ in range(k - 1):
         power *= squares
-    ws = ensemble.weights
-    return float(ws @ power @ ws), float(ws @ (power * squares) @ ws)
+    return float(row_ws @ power @ ws), float(row_ws @ (power * squares) @ ws)
 
 
 def frame_potential(ensemble: WeightedEnsemble, k: int) -> float:
@@ -260,6 +272,11 @@ def _gap_bound(ensemble: WeightedEnsemble, k: int, lower: float, potential: floa
       stored element is unitary within 16u (``WeightedEnsemble``), so
       |det U_j| is within 16u / sqrt(2) of 1, which moves F_k by at most
       16 sqrt(2) k u F_k; the Haar cross term moves only at second order.
+      The weighted sums' terms are nonnegative, so a term that passes d
+      roundings is off by at most d u relative. In blocks of b =
+      ``_FRAME_ROWS`` rows a term passes at most b + s + 1 (b in its row
+      block, s over the columns, one in ``math.fsum``), and a second block
+      exists only when s >= b + 1, so the 2s u term still covers it.
     * weights: the cross term is off by 2 |sum q - 1| C_k <= 34u C_k, as stored weights sum to 1 within 17u.
     """
     u, root = _UNIT_ROUNDOFF, math.sqrt(potential * lower)  # F_k <= 4^k, so F_k F_{k-1} is finite
@@ -278,7 +295,7 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
     sweep to sector k gives every block; each block difference is formed
     directly, so a vanishing deviation comes out at rounding.
 
-    The frame-potential gap comes first, from one s x s table of
+    The frame-potential gap comes first, from the streamed s x s table of
     |tr(U_i^dag U_j)|^2. It decides a check only when it fails clearly:
     gap > tol^2 + B and B <= 1e-12 gap, where B (``_gap_bound``) bounds
     |fl(gap) - deviation^2| from the rounding of the table, of its sums and

@@ -9,7 +9,10 @@ the (n+1)-dimensional spin-n/2 representation. ``sector_lifts`` never forms
 the 2^n x 2^n power. Splitting the last photon off sector n gives
 V_n = (V_{n-1} (x) I_2) W_n with a fixed real isometry W_n, so
 
-    L_n(U) = W_n^T (L_{n-1}(U) (x) U) W_n,   L_0(U) = 1.
+    L_n(U) = W_n^T (L_{n-1}(U) (x) U) W_n,   L_0(U) = 1,   L_1(U) = U,
+
+since W_1 = I: a sweep to sector N >= 1 starts from the stack itself and
+makes N - 1 steps.
 
 In the descending-k layout W_n has two nonzeros per column: |k, n-k> is
 sqrt(k/n) |k-1, n-k>|0> + sqrt((n-k)/n) |k, n-k-1>|1>. One step costs
@@ -103,7 +106,8 @@ def sector_lifts(unitaries: np.ndarray, top: int) -> list[np.ndarray]:
 
     ``unitaries`` has shape (m, 2, 2). Returns ``[L_0, ..., L_top]`` with
     ``L_n`` of shape (m, n+1, n+1) in the descending-k Fock basis of sector
-    n, built by the recursion L_n(U) = W_n^T (L_{n-1}(U) (x) U) W_n.
+    n, built by the recursion L_n(U) = W_n^T (L_{n-1}(U) (x) U) W_n from
+    ``L_1``, the checked complex128 copy of ``unitaries`` itself.
     """
     return _lift_sweep(_check_qubit_unitaries(unitaries)[0], _count(top, "top sector"))
 
@@ -123,10 +127,14 @@ def _column_weights(n: int) -> np.ndarray:
 
 
 def _lift_sweep(us: np.ndarray, top: int) -> list[np.ndarray]:
-    """The ``sector_lifts`` recursion on a stack already checked as (m, 2, 2) complex128 unitaries."""
+    """The ``sector_lifts`` recursion on a stack already checked as (m, 2, 2) complex128 unitaries.
+
+    L_1 is ``us`` itself, not a copy: the read-only ``WeightedEnsemble.unitaries``
+    or the caller's own fresh array, so callers must only read the lifts.
+    """
     m = us.shape[0]
-    lifts = [np.ones((m, 1, 1), dtype=np.complex128)]
-    for n in range(1, top + 1):
+    lifts = [np.ones((m, 1, 1), dtype=np.complex128), us][: top + 1]
+    for n in range(2, top + 1):
         # Row c of L_{n-1} feeds row c + b of L_n, where b is the last photon's
         # polarization, with weight w[0, c] for b = 0 (horizontal) and w[1, c]
         # for b = 1. Columns alike, so t[:, b, c, e, d] = U[b, e] w[b, c] w[e, d] L_{n-1}[c, d].

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonpad import designs
 from photonpad.designs import (
     _UNIT_ROUNDOFF,
     MAX_DESIGN_ORDER,
@@ -258,8 +259,8 @@ def test_design_order_is_capped_at_twelve():
 
 def test_exact_design_at_the_cap_keeps_its_deviation_far_below_tol():
     # The nodes of HaarQuadrature(12) are an exact 12-design. Their spin-block deviation is rounding alone,
-    # 7.9e-13 (one BLAS thread), three orders under the default tol; is_k_design would also build an s x s
-    # frame table of the 8125 nodes, so the exact path is called directly.
+    # 7.9e-13 (one BLAS thread), three orders under the default tol; is_k_design would also stream the
+    # 8125^2-entry frame table, which decides no passing check, so the exact path is called directly.
     quad = HaarQuadrature(MAX_DESIGN_ORDER)
     assert _spin_block_deviation(WeightedEnsemble(quad.unitaries, quad.weights), MAX_DESIGN_ORDER) < 1e-11
 
@@ -399,6 +400,42 @@ def test_from_json_dict_reports_bad_element_index():
             ensemble_from_json_dict(data)
 
 
+def single_table_frame_potentials(e, k):
+    """(F_{k-1}(e), F_k(e)) from the whole s x s table at once, in the order of operations of one row block."""
+    flat = e.unitaries.reshape(e.size, 4)
+    overlaps = flat.conj() @ flat.T
+    squares = overlaps.real**2 + overlaps.imag**2
+    power = np.ones_like(squares)
+    for _ in range(k - 1):
+        power *= squares
+    return float(e.weights @ power @ e.weights), float(e.weights @ (power * squares) @ e.weights)
+
+
+@pytest.mark.parametrize("size", [1, 12, 256])
+def test_frame_table_of_one_block_keeps_its_bits(rng, size):
+    e = random_ensemble(rng, size)
+    for k in (1, 2, 5, 12):
+        assert _frame_potentials(e, k) == single_table_frame_potentials(e, k)
+
+
+def test_frame_table_streams_its_rows():
+    # The 1183 nodes of HaarQuadrature(6) at k = 6 peaked at 53 MB with the whole table at once, and read
+    # 11.6 MB in blocks of 256 rows. F_6 of an exact 6-design is the Catalan number 132.
+    quad = HaarQuadrature(6)
+    e = WeightedEnsemble(quad.unitaries, quad.weights)
+    assert e.size == 1183
+    frame_potential(e, 6)
+    tracemalloc.start()
+    try:
+        potential = frame_potential(e, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert abs(potential - single_table_frame_potentials(e, 6)[1]) <= 1e-12
+    assert abs(potential - haar_frame_potential(6)) <= 1e-12
+
+
 def gap_and_bound(e, k):
     lower, potential = _frame_potentials(e, k)
     haar = haar_frame_potential(k)
@@ -477,12 +514,23 @@ def exact_frame_potential(e, k):
     return total
 
 
-def test_gap_bound_covers_the_rounding_of_the_frame_potential(rng):
+def check_gap_bound_covers_the_rounding(rng):
     ensembles = [pauli_ensemble(), clifford12_ensemble()] + [random_ensemble(rng, s) for s in (1, 3, 8)]
     for e in ensembles:
         for k in (1, 2, 3, 4, 5):
             gap, bound = gap_and_bound(e, k)
             assert abs(Fraction(gap) - (exact_frame_potential(e, k) - Fraction(haar_frame_potential(k)))) <= bound
+
+
+def test_gap_bound_covers_the_rounding_of_the_frame_potential(rng):
+    check_gap_bound_covers_the_rounding(rng)
+
+
+@pytest.mark.parametrize("rows", [3, 1])
+def test_gap_bound_covers_the_rounding_of_a_streamed_table(rng, monkeypatch, rows):
+    # The table in blocks of 3 rows or of 1 row takes the summation order of an ensemble past 256 elements.
+    monkeypatch.setattr(designs, "_FRAME_ROWS", rows)
+    check_gap_bound_covers_the_rounding(rng)
 
 
 def perturbed(rng, e, residual, weight_sum=1.0):

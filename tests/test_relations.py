@@ -8,6 +8,11 @@ leakage(V e W, a, b) = leakage(e, W a, W b) with W acting on the sources'
 polarization. Each relation is checked on hypothesis-drawn small inputs and
 at one fixed large size.
 
+Negating half of every element's weight is a parity dephaser. The signed copy
++-e = {(+-U_j, q_j/2)} lifts -U to (-1)^n L_n(U), so its same-parity blocks
+are those of e and its cross-parity blocks cancel; its channel is e's after
+``parity_dephase``, and its moments are e's, since M_k has even degree in U.
+
 The theorem: a unitary K-design encrypts every pulse of at most K photons
 perfectly, and at K + 1 photons it leaks only through coherences between
 neighbouring photon numbers. The nodes of ``HaarQuadrature(K)`` form an exact
@@ -85,6 +90,47 @@ def check_leakage_relations(rng, size, top):
         assert abs(leakage(twist, a, b, top, pre_channel=pre) - moved) <= 1e-13, pre
         value = leakage(e, a, b, top, pre_channel=pre)
         assert abs(leakage(halved, a, b, top, pre_channel=pre) - value) <= 1e-13, pre
+
+
+def signed(ensemble):
+    """+-e: every element as +U_j and -U_j, with half its weight each."""
+    us, ws = ensemble.unitaries, ensemble.weights / 2
+    return WeightedEnsemble(np.concatenate((us, -us)), np.concatenate((ws, ws)))
+
+
+PARITY_THEN = {None: parity_dephase, parity_dephase: parity_dephase, photon_number_dephase: photon_number_dephase}
+
+
+@SMALL
+@SMALL_INPUTS
+def test_signed_copy_keeps_the_same_parity_blocks(seed, size, top):
+    e = random_ensemble(np.random.default_rng(seed), size)
+    expected, got = security_report(e, top).deviations, security_report(signed(e), top).deviations
+    m, n = np.indices(got.shape)
+    same = (m - n) % 2 == 0
+    assert np.abs(got - expected)[same].max() <= 1e-15
+    assert got[~same].max(initial=0.0) <= 1e-15
+
+
+@SMALL
+@SMALL_INPUTS
+def test_signed_copy_is_a_parity_dephaser(seed, size, top):
+    rng = np.random.default_rng(seed)
+    e = random_ensemble(rng, size)
+    a, b = random_source(rng, top), random_source(rng, top)
+    for pre in PRE_CHANNELS:
+        value = leakage(e, a, b, top, pre_channel=PARITY_THEN[pre])
+        assert abs(leakage(signed(e), a, b, top, pre_channel=pre) - value) <= 1e-14, pre
+
+
+@SMALL
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), k=st.integers(1, 6))
+def test_signed_copy_keeps_the_design_verdict(seed, size, k):
+    rng = np.random.default_rng(seed)
+    for e in (random_ensemble(rng, size), det_one_twist(quadrature_design(k), seed)):
+        expected, got = is_k_design(e, k), is_k_design(signed(e), k)
+        assert got.passed == expected.passed
+        assert abs(got.moment_deviation - expected.moment_deviation) <= 1e-13 * max(1.0, expected.moment_deviation)
 
 
 @SMALL

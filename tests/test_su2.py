@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonpad.designs import clifford12_ensemble
 from photonpad.errors import (
     NotDensityOperatorError,
     NotUnitaryError,
@@ -15,6 +16,7 @@ from photonpad.fock import SectorStructure, symmetric_embedding
 from photonpad.linalg import DENSITY_TOL
 from photonpad.su2 import (
     HaarQuadrature,
+    _lift_sweep,
     _multiplicity,
     block_lift,
     check_density,
@@ -109,6 +111,28 @@ def test_lift_matches_closed_form(rng):
             assert np.abs(swept - dense).max() < 1e-12
             assert np.abs(swept - closed_form_lift(u, n)).max() < 1e-12
             assert np.abs(lift_symmetric(u, n) - dense).max() < 1e-12
+
+
+def test_sweep_starts_from_the_checked_unitaries(rng):
+    # L_1(U) = U: sector 1 is the checked copy of the input bit for bit, a negative zero included, so a
+    # sweep to N makes N - 1 steps. Sector 0 alone is L_0 = 1, and every sector from 2 on matches the oracle.
+    us = np.stack([random_unitary(rng) for _ in range(3)] + [np.array([[0.0, -1.0], [1.0, -0.0]])])
+    first = sector_lifts(us, 1)[1]
+    assert first.tobytes() == us.astype(np.complex128).tobytes()  # bytes tell -0.0 from 0.0
+    assert np.signbit(first[3, 1, 1].real)
+    assert not np.shares_memory(first, us)
+    only = sector_lifts(us, 0)
+    assert len(only) == 1 and only[0].tobytes() == np.ones((4, 1, 1), dtype=np.complex128).tobytes()
+    for n, lifts in enumerate(sector_lifts(us, 8)[2:], 2):
+        for u, swept in zip(us, lifts):
+            assert np.abs(swept - dense_lift(u, n)).max() < 1e-12
+
+
+def test_ensemble_sweeps_start_from_its_read_only_unitaries():
+    # Sweeps inside the package take L_1 as the ensemble's own stack, not a copy, which no caller can write.
+    e = clifford12_ensemble()
+    assert _lift_sweep(e.unitaries, 3)[1] is e.unitaries
+    assert not e.unitaries.flags.writeable
 
 
 @pytest.mark.parametrize("n", [50, 200])
