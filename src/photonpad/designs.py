@@ -16,8 +16,9 @@ M_k(e) is then a realignment, which keeps Frobenius norms, of the Choi block
 of ``channels.choi_block``, with Haar value delta_mn I/(n+1). The frame
 potential F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k) gives the same
 number without a lift: F_k(e) - F_k(Haar) is the squared moment deviation,
-with F_k(Haar) the Catalan number C(2k, k)/(k+1). That difference of two
-O(1) numbers cancels to rounding when the deviation is small, so
+with F_k(Haar) the Catalan number C(2k, k)/(k+1), and F_k is one reduction
+of the table of |tr(U_i^dag U_j)|^2 to the k-th power. That difference of
+two O(1) numbers cancels to rounding when the deviation is small, so
 ``is_k_design`` reads a verdict off the gap only when it fails by a wide
 margin, and takes the spin blocks otherwise. The dense ``ensemble_moment``
 and ``su2.haar_moment`` stay as oracles.
@@ -147,36 +148,37 @@ def builtin_ensembles() -> dict:
     return {"pauli": pauli_ensemble, "clifford12": clifford12_ensemble}
 
 
-def _frame_potentials(ensemble: WeightedEnsemble, k: int) -> tuple[float, float]:
-    """(F_{k-1}(e), F_k(e)) from the table of |tr(U_i^dag U_j)|^2, ``_FRAME_ROWS`` rows i at a time.
+def _frame_potentials(ensemble: WeightedEnsemble, k: int) -> float:
+    """F_k(e) from the table of |tr(U_i^dag U_j)|^2, ``_FRAME_ROWS`` rows i at a time.
 
-    The powers are repeated products, so F_k carries k - 1 roundings of the
-    table and F_{k-1} one fewer; ``_gap_bound`` counts them. An ensemble of at
-    most ``_FRAME_ROWS`` elements is one block, the whole table; a larger one
-    holds a few ``_FRAME_ROWS`` x s arrays at a time, and its blocks' sums are
-    added exactly rounded.
+    The k-th power is k - 1 products of the table, read by one reduction;
+    ``_gap_bound`` counts its roundings. Up to ``_FRAME_ROWS`` elements are
+    one block, the whole table; more hold a few ``_FRAME_ROWS`` x s arrays
+    at a time and add their blocks' sums exactly rounded.
     """
     flat, ws, b = ensemble.unitaries.reshape(ensemble.size, 4), ensemble.weights, _FRAME_ROWS
     if ensemble.size <= b:
         return _frame_sums(flat, flat, ws, ws, k)
-    blocks = [_frame_sums(flat[i : i + b], flat, ws[i : i + b], ws, k) for i in range(0, ensemble.size, b)]
-    lower, potential = zip(*blocks)
-    return math.fsum(lower), math.fsum(potential)
+    return math.fsum(_frame_sums(flat[i : i + b], flat, ws[i : i + b], ws, k) for i in range(0, ensemble.size, b))
 
 
-def _frame_sums(rows: np.ndarray, flat: np.ndarray, row_ws: np.ndarray, ws: np.ndarray, k: int) -> tuple[float, float]:
-    """The terms of (F_{k-1}(e), F_k(e)) from the flattened elements ``rows``, summed over all elements ``flat``."""
+def _frame_sums(rows: np.ndarray, flat: np.ndarray, row_ws: np.ndarray, ws: np.ndarray, k: int) -> float:
+    """The terms of F_k(e) from the flattened elements ``rows``, summed over all elements ``flat``."""
     overlaps = rows.conj() @ flat.T  # tr(U_i^dag U_j)
     squares = overlaps.real**2 + overlaps.imag**2
-    power = np.ones_like(squares)
+    power = squares.copy()
     for _ in range(k - 1):
         power *= squares
-    return float(row_ws @ power @ ws), float(row_ws @ (power * squares) @ ws)
+    return float(row_ws @ power @ ws)
 
 
 def frame_potential(ensemble: WeightedEnsemble, k: int) -> float:
     """F_k(e) = sum_ij q_i q_j |tr(U_i^dag U_j)|^(2k)."""
-    return _frame_potentials(ensemble, _count(k, "k", lo=1, hi=MAX_DESIGN_ORDER, error=ValueError))[1]
+    return _frame_potentials(ensemble, _count(k, "k", lo=1, hi=MAX_DESIGN_ORDER, error=ValueError))
+
+
+def _catalan(k: int) -> float:
+    return float(math.comb(2 * k, k) // (k + 1))  # F_k(Haar) = C(2k, k)/(k + 1), for a k already validated
 
 
 def haar_frame_potential(k: int) -> float:
@@ -185,8 +187,7 @@ def haar_frame_potential(k: int) -> float:
     By invariance the double Haar average collapses to a single one, which
     for a qubit is the k-th Catalan number C(2k, k)/(k+1) (1, 2, 5, 14, ...).
     """
-    k = _count(k, "k", lo=1, hi=MAX_DESIGN_ORDER, error=ValueError)
-    return float(math.comb(2 * k, k) // (k + 1))
+    return _catalan(_count(k, "k", lo=1, hi=MAX_DESIGN_ORDER, error=ValueError))
 
 
 def ensemble_moment(ensemble: WeightedEnsemble, k: int) -> np.ndarray:
@@ -200,12 +201,12 @@ class DesignCheck:
 
     The verdict is the moment-operator criterion: the ensemble is a k-design
     when ||M_k(e) - M_k(Haar)||_F <= tol. The frame-potential gap equals the
-    squared moment deviation. Where the spin blocks decide (every passing
-    check, and failures near tol) it is an independent cross-check; where
-    the gap decided a clear failure, moment_deviation is sqrt(frame_gap).
-    ``frame_passed`` compares that squared norm with the same tol, so it is
-    also True when tol < moment_deviation <= sqrt(tol): only ``passed``
-    decides the verdict.
+    squared moment deviation within rounding, so it can read below 0. Where
+    the spin blocks decide (every passing check, and failures near tol) it is
+    an independent cross-check; where the gap decided a clear failure,
+    moment_deviation is sqrt(frame_gap). ``frame_passed`` compares that
+    squared norm with the same tol, so it is also True when
+    tol < moment_deviation <= sqrt(tol): only ``passed`` decides the verdict.
     """
 
     k: int
@@ -216,7 +217,7 @@ class DesignCheck:
 
     @property
     def frame_gap(self) -> float:
-        """F_k(e) - F_k(Haar) >= 0; equals moment_deviation squared."""
+        """F_k(e) - F_k(Haar): moment_deviation squared within ``_gap_bound``, so rounding can put it below 0."""
         return self.frame_potential - self.haar_frame_potential
 
     @property
@@ -255,17 +256,18 @@ def _spin_block_deviation(ensemble: WeightedEnsemble, k: int) -> float:
     return math.sqrt(total)
 
 
-def _gap_bound(ensemble: WeightedEnsemble, k: int, lower: float, potential: float, haar: float) -> float:
+def _gap_bound(ensemble: WeightedEnsemble, k: int, potential: float, haar: float) -> float:
     """B >= |fl(F_k(e) - F_k(Haar)) - deviation^2|, deviation being the spin-block one.
 
-    ``lower`` and ``potential`` are F_{k-1}(e) and F_k(e) from ``_frame_potentials``;
-    u is the unit roundoff, s the ensemble size and C_k = F_k(Haar). Two terms:
+    ``potential`` is F_k(e) from ``_frame_potentials``; u is the unit
+    roundoff, s the ensemble size and C_k = F_k(Haar). Two terms:
 
     * rounding, to first order in u, constants rounded up. An overlap t is a
       complex 4-term dot product, off by at most
       sqrt(2) gamma_8 ||U_i||_F ||U_j||_F = 16 sqrt(2) u, so |t|^(2k) is off
       by 32 sqrt(2) k u |t|^(2k-1), and sum q_i q_j |t|^(2k-1) <=
-      sqrt(F_k F_{k-1}) (Cauchy-Schwarz). Squaring the table adds 2k u
+      F_k^((2k-1)/(2k)) <= F_k by the power-mean inequality, as sum q_i q_j
+      is 1 to first order and F_k >= C_k >= 1. Squaring the table adds 2k u
       relative, the k - 1 products (k - 1) u, the two weighted sums 2s u, and
       the subtraction of C_k and the sum tol^2 + B the screen compares with
       at most 3u F_k. The spin blocks see U_j / sqrt(det U_j), and every
@@ -279,8 +281,7 @@ def _gap_bound(ensemble: WeightedEnsemble, k: int, lower: float, potential: floa
       exists only when s >= b + 1, so the 2s u term still covers it.
     * weights: the cross term is off by 2 |sum q - 1| C_k <= 34u C_k, as stored weights sum to 1 within 17u.
     """
-    u, root = _UNIT_ROUNDOFF, math.sqrt(potential * lower)  # F_k <= 4^k, so F_k F_{k-1} is finite
-    return u * (46 * k * root + (26 * k + 2 * ensemble.size + 4) * potential + 34 * haar)
+    return _UNIT_ROUNDOFF * ((72 * k + 2 * ensemble.size + 4) * potential + 34 * haar)
 
 
 def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> DesignCheck:
@@ -295,24 +296,22 @@ def is_k_design(ensemble: WeightedEnsemble, k: int, tol: float = 1e-9) -> Design
     sweep to sector k gives every block; each block difference is formed
     directly, so a vanishing deviation comes out at rounding.
 
-    The frame-potential gap comes first, from the streamed s x s table of
-    |tr(U_i^dag U_j)|^2. It decides a check only when it fails clearly:
-    gap > tol^2 + B and B <= 1e-12 gap, where B (``_gap_bound``) bounds
-    |fl(gap) - deviation^2| from the rounding of the table, of its sums and
-    of the elements' unitarity, and from the ensemble's weight sum. The
-    first condition makes the deviation exceed tol at any tol; the second
-    keeps moment_deviation = sqrt(gap) within about 5e-13 relative of the
-    spin-block value. Every other check, every passing one included, takes
-    the spin blocks, and a NaN never satisfies the screen.
+    The frame-potential gap comes first, from one reduction of the streamed
+    s x s table of |tr(U_i^dag U_j)|^2 to the k-th power. It decides a check
+    only when it fails clearly: gap > tol^2 + B and B <= 1e-12 gap, where B
+    (``_gap_bound``) bounds |fl(gap) - deviation^2| from the rounding of the
+    table, of its sums and of the elements' unitarity, and from the weight
+    sum. The first condition makes the deviation exceed tol at any tol; the
+    second keeps moment_deviation = sqrt(gap) within about 5e-13 relative of
+    the spin-block value. Every other check, every passing one included,
+    takes the spin blocks, and a NaN never satisfies the screen.
     A k-design is a design at every lower order, so checking the target
     order suffices. A k outside [1, ``MAX_DESIGN_ORDER``] raises ValueError
     before any work.
     """
     k, tol = _count(k, "k", lo=1, hi=MAX_DESIGN_ORDER, error=ValueError), _tolerance(tol)
-    lower, potential = _frame_potentials(ensemble, k)
-    haar = haar_frame_potential(k)
-    gap = potential - haar
-    bound = _gap_bound(ensemble, k, lower, potential, haar)
+    potential, haar = _frame_potentials(ensemble, k), _catalan(k)
+    gap, bound = potential - haar, _gap_bound(ensemble, k, potential, haar)
     # A clear failure: deviation^2 >= gap - bound > tol^2 at any tol, and
     # sqrt(gap) is within 5e-13 relative of the deviation. NaN compares False.
     if gap > tol * tol + bound and bound <= 1e-12 * gap:
