@@ -76,6 +76,15 @@ def _classify(deviations: np.ndarray, tol: float) -> Classification:
     return Classification.INSECURE
 
 
+# Blocks whose deviations agree to this relative width are reported as tied. Blocks equal in exact
+# arithmetic come out of different lifts and products, a few ulps apart: over pauli and clifford12 at
+# N = 1..8 the widest such gap is 4.4e-16 relative (clifford12's blocks of deviation 2 at N = 7). The
+# lift's rounding grows about linearly in n (a unitarity residual of 4e-13 at N = 100), so 1e-12
+# leaves room for any N the sweep reaches. The reported block's deviation is then within 1e-12
+# relative of the largest.
+_TIE_RTOL = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class SecurityReport:
     """Per-block Choi deviations from the Haar target, with a verdict."""
@@ -91,13 +100,20 @@ class SecurityReport:
 
     @property
     def worst_block(self) -> tuple[int, int]:
-        """The block with the largest deviation; of an (m, n), (n, m) pair, the one with m < n."""
-        m, n = np.unravel_index(int(np.argmax(self.deviations)), self.deviations.shape)
+        """The first block in row-major order whose deviation is within ``_TIE_RTOL`` of the largest.
+
+        So of an (m, n), (n, m) pair the one with m < n is reported, and of blocks that tie in exact
+        arithmetic the first, whichever of them rounding puts ahead. A NaN block is reported first.
+        """
+        flat = self.deviations.ravel()
+        near = (flat >= flat.max() * (1.0 - _TIE_RTOL)) | np.isnan(flat)
+        m, n = np.unravel_index(int(np.argmax(near)), self.deviations.shape)
         return int(m), int(n)
 
     @property
     def worst_deviation(self) -> float:
-        return float(self.deviations.max())
+        """The deviation of ``worst_block``."""
+        return float(self.deviations[self.worst_block])
 
     def to_json_dict(self) -> dict:
         blocks = [
@@ -125,7 +141,7 @@ def security_report(
     maximally mixed, cross blocks must vanish. The resulting deviation
     table drives the SECURE / PARITY_SECURE / INSECURE verdict. Only the
     blocks with m <= n are computed: C_nm = C_mn^dag, so the table is
-    symmetric by construction and ``worst_block`` is never decided by rounding.
+    symmetric by construction, and ``worst_block`` breaks ties by position, not by rounding.
     """
     top, tol = SectorStructure(max_photons).max_photons, _tolerance(tol)
     deviations = np.zeros((top + 1, top + 1))

@@ -15,6 +15,7 @@ from photonpad.security import (
     _APPENDIX_A,
     _APPENDIX_A_CHECKSUM,
     Classification,
+    SecurityReport,
     _classify,
     leakage,
     reproduce_appendix_a,
@@ -177,10 +178,56 @@ def test_deviation_table_is_exactly_symmetric(rng, size):
 
 
 def test_worst_block_is_not_decided_by_rounding():
-    # (7, 8) and (8, 7) deviate equally in exact arithmetic; the upper-triangle block is reported
+    # (7, 8), (8, 7) and (8, 8) deviate by sqrt(6) in exact arithmetic; the first in row-major order is reported
     rep = security_report(clifford12_ensemble(), 8)
     assert rep.worst_block == (7, 8)
     assert rep.deviation(7, 8) == rep.deviation(8, 7) == rep.worst_deviation
+    # pauli's Delta_23 = Delta_33 = sqrt(3) at N = 3, which rounding once reported as (3, 3)
+    rep = security_report(pauli_ensemble(), 3)
+    assert rep.worst_block == (2, 3)
+    assert abs(rep.worst_deviation - math.sqrt(3)) <= 1e-15
+
+
+@pytest.mark.parametrize("top", range(1, 9))
+def test_worst_block_is_the_first_exact_maximum(top):
+    for ensemble in (pauli_ensemble(), clifford12_ensemble()):
+        exact = exact_squared_deviations(ensemble, top)
+        largest = max(max(row) for row in exact)
+        first = next((m, n) for m in range(top + 1) for n in range(top + 1) if exact[m][n] == largest)
+        rep = security_report(ensemble, top)
+        assert rep.worst_block == first
+        assert rep.worst_deviation == rep.deviation(*first)
+
+
+def report_on(table):
+    """A report on a given deviation table, with no ensemble behind it."""
+    return SecurityReport("table", table.shape[0] - 1, 1e-9, table, _classify(table, 1e-9))
+
+
+@pytest.mark.parametrize("ulps", [-4, -1, 1, 4])
+def test_worst_block_ignores_a_few_ulps_between_tied_blocks(ulps):
+    # The later tied blocks are moved a few ulps above or below the first one, which is still reported.
+    table = np.array([[0.5, 1.0, 0.25], [1.0, 0.75, 1.0], [0.25, 1.0, 1.0]]) * math.sqrt(3)
+    tied = table[0, 1]
+    for _ in range(abs(ulps)):
+        tied = np.nextafter(tied, np.inf if ulps > 0 else 0.0)
+    table[1, 2] = table[2, 1] = table[2, 2] = tied
+    table.setflags(write=False)
+    rep = report_on(table)
+    assert rep.worst_block == (0, 1)
+    assert rep.worst_deviation == table[0, 1]
+    # a block larger by more than rounding is the worst one wherever it sits
+    bigger = table.copy()
+    bigger[2, 2] *= 1 + 1e-9
+    assert report_on(bigger).worst_block == (2, 2)
+
+
+def test_worst_block_of_a_nan_table_is_its_first_nan():
+    table = np.array([[0.0, 1.0], [np.nan, np.nan]])
+    rep = report_on(table)
+    assert rep.worst_block == (1, 0)
+    assert math.isnan(rep.worst_deviation)
+
 
 
 def test_admitted_weight_slack_decides_no_verdict():

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -143,6 +144,20 @@ def test_lift_stays_unitary_and_multiplicative_at_large_n(rng, n):
     for lifted in (lu, lw, luw):
         assert np.linalg.norm(lifted.conj().T @ lifted - eye) <= 1e-10
     assert np.linalg.norm(luw - lu @ lw) <= 1e-10
+
+
+def test_sweep_holds_little_beyond_its_lifts(rng):
+    # Each step holds two (s, 2, n, n+1) buffers besides L_{n-1} and L_n: 7.5 MiB at s = 24, N = 64, where
+    # the lifts themselves take 34 MiB. A (s, 2, n, 2, n) product per step would peak 16 MiB above them.
+    us = np.stack([random_unitary(rng) for _ in range(24)])
+    tracemalloc.start()
+    try:
+        lifts = sector_lifts(us, 64)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lifts) == 65
+    assert peak - held < 10 * 2**20
 
 
 @settings(max_examples=25, deadline=None)
