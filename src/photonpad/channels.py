@@ -21,8 +21,8 @@ ensemble elements, while cross blocks pick up the relative phases between
 the lifts L_m and L_n, which is why element phase conventions are physical
 here.
 
-``apply_channel``, the reference channel for mixed states, encrypts sector
-by sector from one ``sector_lifts`` sweep in 2(N+1) GEMMs; no verdict calls it.
+``apply_channel``, the reference channel for mixed states, is that sum as
+written, one ``block_lift`` per element; no verdict calls it.
 The two dephasers mask by the group labels n mod P of ``_group_labels`` (P = 2
 for parity, N + 1 for photon number), and ``leakage``, which accepts only them
 or no pre-channel (P = 1), splits its trace norm over the same groups without a
@@ -36,7 +36,7 @@ import numpy as np
 from .designs import WeightedEnsemble
 from .errors import SectorRangeError
 from .fock import SectorStructure, _array, _count, _photon_numbers
-from .su2 import _choi_block, _lift_sweep, check_density
+from .su2 import _choi_block, _lift_sweep, block_lift, check_density
 
 __all__ = [
     "apply_channel",
@@ -48,25 +48,15 @@ __all__ = [
 
 
 def apply_channel(ensemble: WeightedEnsemble, structure: SectorStructure, rho: np.ndarray) -> np.ndarray:
-    """Encrypt a density operator: sum_j q_j L(U_j) rho L(U_j)^dag, from one lift sweep.
+    """Encrypt a density operator: sum_j q_j B_j rho B_j^dag, with B_j = ``block_lift(U_j, structure)``.
 
-    The reference channel for mixed states; no verdict calls it. Column
-    sector n of all rho L(U_j)^dag is one GEMM of rho's sector-n columns with
-    the L_n(U_j)^dag side by side; row sector m of the sum is one GEMM of the
-    q_j L_m(U_j) side by side with the sector-m rows of those products.
+    The reference channel for mixed states, summed one element at a time in O(D^2) memory; no verdict calls it.
     """
     rho = check_density(rho, structure.total_dim)
-    lifts = _lift_sweep(ensemble.unitaries, structure.max_photons)
-    s, d = ensemble.size, structure.total_dim
-    slices = [structure.sector_slice(n) for n in range(len(lifts))]
-    right = np.empty((d, s, d), dtype=np.complex128)  # right[a, j, c] = (rho L(U_j)^dag)[a, c]
-    for n, lift in enumerate(lifts):
-        daggers = lift.conj().transpose(2, 0, 1).reshape(n + 1, -1)
-        right[:, :, slices[n]] = (rho[:, slices[n]] @ daggers).reshape(d, s, n + 1)
-    out = np.empty((d, d), dtype=np.complex128)
-    for n, lift in enumerate(lifts):
-        weighted = (ensemble.weights[:, None, None] * lift).transpose(1, 2, 0).reshape(n + 1, -1)
-        out[slices[n]] = weighted @ right[slices[n]].reshape(-1, d)
+    out = np.zeros_like(rho)
+    for q, u in zip(ensemble.weights, ensemble.unitaries):
+        lift = block_lift(u, structure)
+        out += q * (lift @ rho @ lift.conj().T)
     return out
 
 

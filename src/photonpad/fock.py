@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -308,22 +307,15 @@ def _source_rows(source: SourceSpec, polarizations: np.ndarray, structure: Secto
 
 
 def symmetric_embedding(n: int) -> np.ndarray:
-    """Isometry V_n from sector n onto the symmetric subspace of n qubits.
+    """Isometry V_n from sector n onto the symmetric subspace of n qubits, shape (2**n, n+1).
 
-    Column n-k (the position of |k, n-k> in the descending-k layout) is the
-    normalized symmetric n-qubit state with k zeros, under |0> = horizontal.
-    Shape (2**n, n+1); V_n^dag V_n = I and V_n V_n^dag is the symmetrizer.
-    ``n = 0`` returns the 1x1 identity.
+    Column n-k (the position of |k, n-k> in the descending-k layout) is the normalized symmetric n-qubit state
+    with k zeros, under |0> = horizontal: with the bits of row r read first photon first and 1 = vertical, row r
+    has one nonzero, 1/sqrt(C(n, c)) in column c = popcount(r). V_n^dag V_n = I; V_n V_n^dag is the symmetrizer.
     """
     n = _count(n, "photon number")
+    columns = [r.bit_count() for r in range(2**n)]
+    entries = np.array([1.0 / math.sqrt(math.comb(n, c)) for c in range(n + 1)])
     v = np.zeros((2**n, n + 1), dtype=np.complex128)
-    if n == 0:
-        v[0, 0] = 1.0
-        return v
-    for bits in itertools.product((0, 1), repeat=n):
-        k = n - sum(bits)
-        row = int("".join(map(str, bits)), 2)
-        v[row, n - k] += 1.0
-    for k in range(n + 1):
-        v[:, n - k] /= math.sqrt(math.comb(n, k))
+    v[range(2**n), columns] = entries[columns]
     return v

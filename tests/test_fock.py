@@ -365,6 +365,17 @@ def test_symmetric_embedding_two_photon_columns():
     assert np.allclose(v[:, 2], [0, 0, 0, 1])
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_symmetric_embedding_entries(n):
+    # Row r has one nonzero, exactly 1/sqrt(C(n, c)), in column c = popcount(r).
+    v = symmetric_embedding(n)
+    assert v.shape == (2**n, n + 1)
+    for row, entries in enumerate(v.tolist()):
+        c = bin(row).count("1")
+        assert [col for col, z in enumerate(entries) if z != 0] == [c]
+        assert entries[c] == 1.0 / math.sqrt(math.comb(n, c))
+
+
 @pytest.mark.parametrize(
     "mat",
     [
